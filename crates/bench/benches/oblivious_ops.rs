@@ -67,8 +67,10 @@ fn bench_truncated_join(c: &mut Criterion) {
 }
 
 fn bench_cache_read(c: &mut Criterion) {
+    // Cache sizes the Shrink workloads actually sort per synchronization
+    // (roughly 10K–30K entries), not just toy arrays.
     let mut group = c.benchmark_group("cache_read");
-    for &n in &[256usize, 1024] {
+    for &n in &[1024usize, 8192, 32768] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let base = random_array(n, 4, 13);
             b.iter(|| {

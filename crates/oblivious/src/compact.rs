@@ -1,23 +1,19 @@
-//! Oblivious compaction and the Shrink cache-read operation (Figure 3).
+//! The Shrink cache-read operation (Figure 3).
 //!
 //! The Shrink protocols fetch a DP-noised number of tuples from the exhaustively
 //! padded secure cache. To guarantee that real tuples are always fetched before
 //! dummies, the cache is first obliviously sorted on the `isView` bit, then the first
 //! `sz` slots are cut off; the remainder stays in the cache.
+//!
+//! The sort is [`oblivious_sort_by_is_view`]: the Batcher network walked as
+//! contiguous runs over a single packed `u64` lane per entry (`dummy_bit << 63 |
+//! index`), after which the record shares are gathered once. Only the `isView`
+//! shares are read to build the lane, so the host cost of a read grows with the
+//! comparator count, not with the record width.
 
 use crate::sort::oblivious_sort_by_is_view;
 use incshrink_mpc::cost::CostMeter;
 use incshrink_secretshare::arrays::SharedArrayPair;
-
-/// Obliviously compact `array` so that all real tuples precede all dummy tuples.
-/// The length is unchanged; only the (hidden) order moves.
-///
-/// Cost: one Batcher sort on the `isView` key — `batcher_pair_count(n)` secure
-/// comparisons and record-wide swaps ([`crate::sort::batcher_pair_count`]). Leakage:
-/// none beyond the public length `n`.
-pub fn oblivious_compact(array: &mut SharedArrayPair, meter: &mut CostMeter) {
-    oblivious_sort_by_is_view(array, meter);
-}
 
 /// The secure cache read of Figure 3: obliviously sort the cache by `isView`, cut off
 /// the first `read_size` entries and return them; the remaining entries stay in
@@ -26,8 +22,10 @@ pub fn oblivious_compact(array: &mut SharedArrayPair, meter: &mut CostMeter) {
 /// Returns the fetched entries. The servers observe only `read_size` (which the
 /// calling Shrink protocol derives from a DP mechanism) — never the true cardinality.
 ///
-/// Cost: the [`oblivious_compact`] sort of the whole cache plus the `read_size`
-/// record transfer. This sort over the cache length is why keeping ΔV at the
+/// Cost: one Batcher sort of the whole cache on the `isView` key —
+/// [`crate::sort::batcher_pair_count`]`(n)` secure comparisons and record-wide swaps
+/// — plus the `read_size` record transfer. Leakage: none beyond the public length
+/// `n` and `read_size`. This sort over the cache length is why keeping ΔV at the
 /// `ω·|delta|` nested-loop output contract (rather than Example 5.1's
 /// `ω·(|T1|+|T2|)`) matters: the cache, and with it every synchronization, would
 /// otherwise grow with the accumulated relation.
@@ -71,14 +69,16 @@ mod tests {
     }
 
     #[test]
-    fn compact_moves_real_tuples_to_front() {
+    fn cache_read_sorts_real_tuples_to_the_front() {
+        // A read of the exact true cardinality fetches every real tuple and leaves
+        // only dummies behind: the sort moved all reals ahead of all dummies.
         let mut meter = CostMeter::new();
         let mut cache = mixed_cache(4, 6);
-        oblivious_compact(&mut cache, &mut meter);
-        let plain = cache.recover_all();
-        assert!(plain[..4].iter().all(|r| r.is_view));
-        assert!(plain[4..].iter().all(|r| !r.is_view));
-        assert_eq!(cache.true_cardinality(), 4);
+        let fetched = cache_read(&mut cache, 4, &mut meter);
+        assert!(fetched.recover_all().iter().all(|r| r.is_view));
+        assert!(cache.recover_all().iter().all(|r| !r.is_view));
+        assert_eq!(cache.len(), 6);
+        assert!(meter.report().secure_compares > 0);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod table;
 pub use aggregate::{
     oblivious_count, oblivious_group_count, oblivious_group_count_over_domain, oblivious_sum,
 };
-pub use compact::{cache_read, oblivious_compact};
+pub use compact::cache_read;
 pub use filter::{oblivious_filter, Predicate, PredicateKind};
 pub use join::{
     delta_sort_merge_join_cost, nested_loop_join_cost, push_padded, truncated_match,
@@ -53,7 +53,7 @@ pub use shuffle::{
     MappedRouteOutcome, ShuffleRouteOutcome, VIRTUAL_BUCKETS,
 };
 pub use sort::{
-    batcher_padded_pair_count, batcher_pair_count, batcher_pairs_iter, bitonic_merge_pair_count,
+    batcher_padded_pair_count, batcher_pair_count, bitonic_merge_pair_count,
     oblivious_sort_by_field, oblivious_sort_by_is_view, SortOrder,
 };
 pub use table::PlainTable;

@@ -11,16 +11,25 @@
 //! padding — a standard, correctness-preserving specialisation of Batcher's
 //! construction.
 //!
-//! Two physical-layer notes:
+//! Three physical-layer notes:
 //!
-//! * The sorts here execute as **struct-of-arrays kernels**: each record's key is
+//! * The network is **walked as runs**, not comparator by comparator: every pruned
+//!   `(p, k)` level is a handful of contiguous `(lo, hi, cnt)` runs — the two halves
+//!   of each 2p-block when `k = p`, the 2k-chunks of `[b + k, b + 2p − k)` when
+//!   `k < p`, clipped at `hi < n` — emitted in exactly the pair order of
+//!   [`batcher_pairs`]. A kernel sweeps each run as two disjoint slices with a
+//!   branch-free loop the compiler vectorizes; no division or pruning test is left
+//!   per comparator.
+//! * The sorts execute as **struct-of-arrays kernels**: each record's key is
 //!   extracted once into contiguous `u64` lanes (primary key, tie-breaker, original
-//!   position), the comparator network runs branch-free over those lanes with
-//!   xor-mask conditional swaps, and the record shares are gathered through the
-//!   index lane in a single final pass. Swap decisions depend only on the keys,
-//!   which travel with their indices, so the final arrangement — and the metered
-//!   cost, charged up front from the input length — is bit-identical to swapping
-//!   whole records at every comparator.
+//!   position), the runs sweep those lanes with xor-mask conditional swaps, and the
+//!   record shares are gathered through the index lane in a single final pass. Swap
+//!   decisions depend only on the keys, which travel with their indices, so the
+//!   final arrangement — and the metered cost, charged up front from the input
+//!   length — is bit-identical to swapping whole records at every comparator.
+//! * The `isView` sort of the Shrink cache read has a one-bit key and no
+//!   tie-breaker, so [`oblivious_sort_by_is_view`] reads only the `isView` shares and
+//!   packs key and position into **one lane word**, `dummy_bit << 63 | index`.
 //! * For merging two *already sorted* runs (the delta sort-merge join's cache ‖
 //!   delta union) a full Batcher re-sort is overkill: [`bitonic_merge_pairs`] is the
 //!   `O(n log n)`-comparator bitonic merge network for that case, and
@@ -57,100 +66,73 @@ pub(crate) struct SortKey {
 /// price sorting networks they never physically execute.
 ///
 /// Cost note: materialising the schedule is `O(n log² n)` host time and memory; the
-/// hot sort paths iterate [`batcher_pairs_iter`] instead, and when only the
-/// comparator *count* is needed (join cost models, the adaptive planner), use
-/// [`batcher_pair_count`], which computes the same number without allocating.
+/// physical sorts walk the same schedule as contiguous runs instead
+/// (`for_each_batcher_run`), and when only the comparator *count* is needed (join
+/// cost models, the adaptive planner), use [`batcher_pair_count`], which computes the
+/// same number without allocating.
 pub fn batcher_pairs(n: usize) -> Vec<(usize, usize)> {
-    batcher_pairs_iter(n).collect()
+    let mut pairs = Vec::new();
+    for_each_batcher_run(n, |lo, hi, cnt| {
+        pairs.extend((0..cnt).map(|i| (lo + i, hi + i)));
+    });
+    pairs
 }
 
-/// Streaming enumeration of the compare-exchange pairs of the pruned Batcher network
-/// for `n` elements, in the same execution order as [`batcher_pairs`] but without
-/// materialising the `O(n log² n)` schedule. This is what the physical sorts walk.
-pub fn batcher_pairs_iter(n: usize) -> BatcherPairs {
+/// Walk the pruned Batcher network for `n` elements as contiguous runs: each call
+/// `run(lo, hi, cnt)` stands for the comparators `(lo + i, hi + i)` for
+/// `i ∈ 0..cnt`, and the runs arrive in exactly the execution order of
+/// [`batcher_pairs`]. Within a run `hi − lo = k ≥ cnt`, so its low and high slices
+/// are disjoint and a kernel can sweep them as two plain slices.
+///
+/// Each `(p, k)` level of the network, over the array conceptually padded to the
+/// next power of two with `+∞` keys, is
+///
+/// * `k = p`: the two halves of every 2p-block compared element-wise —
+///   `[b, b + p)` against `[b + p, b + 2p)`;
+/// * `k < p`: the window `[b + k, b + 2p − k)` of every 2p-block, in 2k-chunks whose
+///   first half is compared against their second half;
+///
+/// with every comparator whose high end falls in the padding (`hi ≥ n`) dropped.
+/// No division or per-comparator test is left in the walk: the pruning collapses to
+/// clipping each run at `n`.
+pub(crate) fn for_each_batcher_run(n: usize, mut run: impl FnMut(usize, usize, usize)) {
     if n < 2 {
-        return BatcherPairs {
-            n,
-            padded: 1,
-            p: 1,
-            k: 0,
-            j: 0,
-            i: 0,
-            i_end: 0,
-        };
+        return;
     }
     let padded = n.next_power_of_two();
-    BatcherPairs {
-        n,
-        padded,
-        p: 1,
-        k: 1,
-        j: 0,
-        i: 0,
-        i_end: 1.min(padded - 1),
-    }
-}
-
-/// Iterator over Batcher compare-exchange pairs; see [`batcher_pairs_iter`].
-///
-/// Replicates the nested `(p, k, j, i)` loop of the materialising generator as
-/// explicit state, skipping candidates pruned by the padding rule.
-#[derive(Debug, Clone)]
-pub struct BatcherPairs {
-    n: usize,
-    padded: usize,
-    p: usize,
-    k: usize,
-    j: usize,
-    i: usize,
-    i_end: usize,
-}
-
-impl Iterator for BatcherPairs {
-    type Item = (usize, usize);
-
-    fn next(&mut self) -> Option<(usize, usize)> {
-        loop {
-            if self.p >= self.padded {
-                return None;
-            }
-            if self.i < self.i_end {
-                let lo = self.i + self.j;
-                let hi = lo + self.k;
-                self.i += 1;
-                // Keep the comparator when both ends fall in the same 2p-block and
-                // the high end is not conceptual +∞ padding.
-                if (lo / (self.p * 2)) == (hi / (self.p * 2)) && hi < self.n {
-                    return Some((lo, hi));
-                }
-                continue;
-            }
-            // Advance the j offset; j < p and k <= p keep j + k < padded valid.
-            self.j += 2 * self.k;
-            if self.j + self.k < self.padded {
-                self.i = 0;
-                self.i_end = self.k.min(self.padded - self.j - self.k);
-                continue;
-            }
-            // Advance the k stride.
-            self.k /= 2;
-            if self.k >= 1 {
-                self.j = self.k % self.p;
-                self.i = 0;
-                self.i_end = self.k.min(self.padded - self.j - self.k);
-                continue;
-            }
-            // Advance the p phase.
-            self.p *= 2;
-            if self.p >= self.padded {
-                return None;
-            }
-            self.k = self.p;
-            self.j = 0;
-            self.i = 0;
-            self.i_end = self.k.min(self.padded - self.k);
+    let mut p = 1usize;
+    while p < padded {
+        let mut b = 0;
+        while b + p < n {
+            run(b, b + p, p.min(n - b - p));
+            b += 2 * p;
         }
+        let mut k = p / 2;
+        while k >= 1 {
+            // Runs only move right, so the first one clipped to nothing ends the level.
+            let mut b = 0;
+            'blocks: loop {
+                let mut lo = b + k;
+                while lo < b + 2 * p - k {
+                    let hi = lo + k;
+                    if hi >= n {
+                        break 'blocks;
+                    }
+                    run(lo, hi, k.min(n - hi));
+                    lo += 2 * k;
+                }
+                b += 2 * p;
+            }
+            k /= 2;
+        }
+        p *= 2;
     }
+}
+
+/// The low and high slices of one [`for_each_batcher_run`] run over `lane`.
+fn run_halves(lane: &mut [u64], lo: usize, hi: usize, cnt: usize) -> (&mut [u64], &mut [u64]) {
+    let (head, tail) = lane.split_at_mut(hi);
+    (&mut head[lo..lo + cnt], &mut tail[..cnt])
 }
 
 /// Exact number of compare-exchange gates in the pruned Batcher odd-even merge
@@ -375,33 +357,43 @@ pub(crate) fn oblivious_sort_by_key<F>(
         tie.push(key.tie);
     }
     let mut idx: Vec<u64> = (0..n as u64).collect();
-    let ascending = matches!(order, SortOrder::Ascending);
-
-    for (lo, hi) in batcher_pairs_iter(n) {
-        let (pa, pb) = (primary[lo], primary[hi]);
-        let (ta, tb) = (tie[lo], tie[hi]);
-        // Strictly out of order for the requested direction, lexicographically on
-        // (primary, tie) — computed with borrow arithmetic, not jumps.
-        let (x, y, tx, ty) = if ascending {
-            (pa, pb, ta, tb)
-        } else {
-            (pb, pa, tb, ta)
-        };
-        let out_of_order = lt_word(y, x) | (eq_word(x, y) & lt_word(ty, tx));
-        let mask = out_of_order.wrapping_neg();
-        let dp = (pa ^ pb) & mask;
-        primary[lo] = pa ^ dp;
-        primary[hi] = pb ^ dp;
-        let dt = (ta ^ tb) & mask;
-        tie[lo] = ta ^ dt;
-        tie[hi] = tb ^ dt;
-        let di = (idx[lo] ^ idx[hi]) & mask;
-        idx[lo] ^= di;
-        idx[hi] ^= di;
+    match order {
+        SortOrder::Ascending => sort_lanes::<true>(&mut primary, &mut tie, &mut idx),
+        SortOrder::Descending => sort_lanes::<false>(&mut primary, &mut tie, &mut idx),
     }
 
     let perm: Vec<usize> = idx.into_iter().map(|i| i as usize).collect();
     array.permute_gather(&perm);
+}
+
+/// Run the Batcher network over the `(primary, tie)` key lanes, carrying `idx`
+/// along: one branch-free slice sweep per run, the direction fixed at compile time.
+fn sort_lanes<const ASCENDING: bool>(primary: &mut [u64], tie: &mut [u64], idx: &mut [u64]) {
+    for_each_batcher_run(primary.len(), |lo, hi, cnt| {
+        let (pa, pb) = run_halves(primary, lo, hi, cnt);
+        let (ta, tb) = run_halves(tie, lo, hi, cnt);
+        let (ia, ib) = run_halves(idx, lo, hi, cnt);
+        for i in 0..cnt {
+            let (x, y, tx, ty) = if ASCENDING {
+                (pa[i], pb[i], ta[i], tb[i])
+            } else {
+                (pb[i], pa[i], tb[i], ta[i])
+            };
+            // Strictly out of order for the requested direction, lexicographically
+            // on (primary, tie) — computed with borrow arithmetic, not jumps.
+            let out_of_order = lt_word(y, x) | (eq_word(x, y) & lt_word(ty, tx));
+            let mask = out_of_order.wrapping_neg();
+            let dp = (pa[i] ^ pb[i]) & mask;
+            pa[i] ^= dp;
+            pb[i] ^= dp;
+            let dt = (ta[i] ^ tb[i]) & mask;
+            ta[i] ^= dt;
+            tb[i] ^= dt;
+            let di = (ia[i] ^ ib[i]) & mask;
+            ia[i] ^= di;
+            ib[i] ^= di;
+        }
+    });
 }
 
 /// Oblivious sort by a single attribute column (ascending or descending). Dummy
@@ -435,11 +427,40 @@ pub fn oblivious_sort_by_field(
 
 /// Oblivious sort by the `isView` bit so that all real tuples precede all dummies —
 /// the first step of the Shrink cache read (`ObliSort(σ, key = isView)`).
+///
+/// The key is a single bit with no tie-breaker, so the kernel reads only each
+/// entry's `isView` shares and packs the whole comparator state into one `u64` lane
+/// word, `dummy_bit << 63 | index`. A comparator swaps exactly when its low word
+/// is a dummy and its high word is real — `(x & !y) >> 63` — which is the general
+/// kernel's out-of-order test for the key `(primary = !isView, tie = 0)`, so the
+/// permutation and the up-front charge are the same as sorting on that key.
 pub fn oblivious_sort_by_is_view(array: &mut SharedArrayPair, meter: &mut CostMeter) {
-    oblivious_sort_by_key(array, SortOrder::Ascending, meter, |rec| SortKey {
-        primary: u64::from(!rec.is_view),
-        tie: 0,
+    let n = array.len();
+    if n < 2 {
+        return;
+    }
+    let width = array.arity().unwrap_or(1) as u64 + 1;
+    charge_sort_network(n, width, meter);
+
+    let mut lane: Vec<u64> = array
+        .entries()
+        .iter()
+        .enumerate()
+        .map(|(i, entry)| (u64::from(entry.is_view.recover() == 0) << 63) | i as u64)
+        .collect();
+    for_each_batcher_run(n, |lo, hi, cnt| {
+        let (low, high) = run_halves(&mut lane, lo, hi, cnt);
+        for (x, y) in low.iter_mut().zip(high.iter_mut()) {
+            let mask = ((*x & !*y) >> 63).wrapping_neg();
+            let d = (*x ^ *y) & mask;
+            *x ^= d;
+            *y ^= d;
+        }
     });
+
+    // Clear the dummy bit to recover each slot's source index.
+    let perm: Vec<usize> = lane.iter().map(|&w| (w & !(1 << 63)) as usize).collect();
+    array.permute_gather(&perm);
 }
 
 #[cfg(test)]
@@ -448,7 +469,7 @@ mod tests {
     use incshrink_secretshare::tuple::PlainRecord;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn share_values(values: &[u32], dummies: usize) -> SharedArrayPair {
         let mut rng = StdRng::seed_from_u64(17);
@@ -533,18 +554,213 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pairs_iter_matches_materialized_network() {
-        for n in 0..=400usize {
-            let from_iter: Vec<(usize, usize)> = batcher_pairs_iter(n).collect();
-            assert_eq!(from_iter, batcher_pairs(n), "n={n}");
+    /// The pre-run-walker streaming enumeration of the pruned Batcher network,
+    /// kept verbatim as the oracle the run walker must reproduce pair for pair.
+    fn reference_pairs(n: usize) -> ReferencePairs {
+        if n < 2 {
+            return ReferencePairs {
+                n,
+                padded: 1,
+                p: 1,
+                k: 0,
+                j: 0,
+                i: 0,
+                i_end: 0,
+            };
         }
-        for n in [1000usize, 4096, 5000] {
-            assert_eq!(
-                batcher_pairs_iter(n).count() as u64,
-                batcher_pair_count(n),
-                "n={n}"
-            );
+        let padded = n.next_power_of_two();
+        ReferencePairs {
+            n,
+            padded,
+            p: 1,
+            k: 1,
+            j: 0,
+            i: 0,
+            i_end: 1.min(padded - 1),
+        }
+    }
+
+    /// Replicates the nested `(p, k, j, i)` loop of the materialising generator as
+    /// explicit state, skipping candidates pruned by the padding rule.
+    struct ReferencePairs {
+        n: usize,
+        padded: usize,
+        p: usize,
+        k: usize,
+        j: usize,
+        i: usize,
+        i_end: usize,
+    }
+
+    impl Iterator for ReferencePairs {
+        type Item = (usize, usize);
+
+        fn next(&mut self) -> Option<(usize, usize)> {
+            loop {
+                if self.p >= self.padded {
+                    return None;
+                }
+                if self.i < self.i_end {
+                    let lo = self.i + self.j;
+                    let hi = lo + self.k;
+                    self.i += 1;
+                    // Keep the comparator when both ends fall in the same 2p-block and
+                    // the high end is not conceptual +∞ padding.
+                    if (lo / (self.p * 2)) == (hi / (self.p * 2)) && hi < self.n {
+                        return Some((lo, hi));
+                    }
+                    continue;
+                }
+                // Advance the j offset; j < p and k <= p keep j + k < padded valid.
+                self.j += 2 * self.k;
+                if self.j + self.k < self.padded {
+                    self.i = 0;
+                    self.i_end = self.k.min(self.padded - self.j - self.k);
+                    continue;
+                }
+                // Advance the k stride.
+                self.k /= 2;
+                if self.k >= 1 {
+                    self.j = self.k % self.p;
+                    self.i = 0;
+                    self.i_end = self.k.min(self.padded - self.j - self.k);
+                    continue;
+                }
+                // Advance the p phase.
+                self.p *= 2;
+                if self.p >= self.padded {
+                    return None;
+                }
+                self.k = self.p;
+                self.j = 0;
+                self.i = 0;
+                self.i_end = self.k.min(self.padded - self.k);
+            }
+        }
+    }
+
+    /// The pre-run-walker three-lane kernel, kept verbatim (one comparator at a
+    /// time over [`reference_pairs`]) as the permutation oracle for the run-walking
+    /// and packed-lane kernels.
+    fn reference_lane_sort<F>(
+        array: &mut SharedArrayPair,
+        order: SortOrder,
+        meter: &mut CostMeter,
+        key_fn: F,
+    ) where
+        F: Fn(&PlainRecord) -> SortKey,
+    {
+        let n = array.len();
+        if n < 2 {
+            return;
+        }
+        let width = array.arity().unwrap_or(1) as u64 + 1;
+        charge_sort_network(n, width, meter);
+
+        let mut primary = Vec::with_capacity(n);
+        let mut tie = Vec::with_capacity(n);
+        let mut scratch = PlainRecord {
+            fields: Vec::new(),
+            is_view: false,
+        };
+        for entry in array.entries() {
+            entry.recover_into(&mut scratch);
+            let key = key_fn(&scratch);
+            primary.push(key.primary);
+            tie.push(key.tie);
+        }
+        let mut idx: Vec<u64> = (0..n as u64).collect();
+        let ascending = matches!(order, SortOrder::Ascending);
+
+        for (lo, hi) in reference_pairs(n) {
+            let (pa, pb) = (primary[lo], primary[hi]);
+            let (ta, tb) = (tie[lo], tie[hi]);
+            let (x, y, tx, ty) = if ascending {
+                (pa, pb, ta, tb)
+            } else {
+                (pb, pa, tb, ta)
+            };
+            let out_of_order = lt_word(y, x) | (eq_word(x, y) & lt_word(ty, tx));
+            let mask = out_of_order.wrapping_neg();
+            let dp = (pa ^ pb) & mask;
+            primary[lo] = pa ^ dp;
+            primary[hi] = pb ^ dp;
+            let dt = (ta ^ tb) & mask;
+            tie[lo] = ta ^ dt;
+            tie[hi] = tb ^ dt;
+            let di = (idx[lo] ^ idx[hi]) & mask;
+            idx[lo] ^= di;
+            idx[hi] ^= di;
+        }
+
+        let perm: Vec<usize> = idx.into_iter().map(|i| i as usize).collect();
+        array.permute_gather(&perm);
+    }
+
+    /// Assert the run walker emits exactly the reference pair sequence for `n`,
+    /// streaming both sides so large `n` allocate nothing.
+    fn assert_walker_matches_reference(n: usize) {
+        let mut reference = reference_pairs(n);
+        for_each_batcher_run(n, |lo, hi, cnt| {
+            assert!(cnt >= 1 && cnt <= hi - lo, "n={n}: run ({lo}, {hi}, {cnt})");
+            for i in 0..cnt {
+                assert_eq!(reference.next(), Some((lo + i, hi + i)), "n={n}");
+            }
+        });
+        assert_eq!(reference.next(), None, "n={n}: walker stopped early");
+    }
+
+    #[test]
+    fn run_walker_matches_reference_pairs_for_every_small_n() {
+        for n in 0..=4096usize {
+            assert_walker_matches_reference(n);
+        }
+    }
+
+    /// `len` records carrying their position as a field (so equal arrays mean equal
+    /// permutations), real where `is_real(i)` holds.
+    fn indexed_records(len: usize, is_real: impl Fn(usize) -> bool) -> SharedArrayPair {
+        let mut rng = StdRng::seed_from_u64(29);
+        let records: Vec<PlainRecord> = (0..len)
+            .map(|i| PlainRecord {
+                fields: vec![i as u32, 7],
+                is_view: is_real(i),
+            })
+            .collect();
+        SharedArrayPair::share_records(&records, &mut rng)
+    }
+
+    /// Sort `array` with the packed isView kernel and with the reference three-lane
+    /// kernel on the same key; both the arrangement and the CostReport must agree.
+    fn assert_is_view_sort_matches_reference(array: &SharedArrayPair) {
+        let (mut packed, mut reference) = (array.clone(), array.clone());
+        let (mut m_packed, mut m_reference) = (CostMeter::new(), CostMeter::new());
+        oblivious_sort_by_is_view(&mut packed, &mut m_packed);
+        reference_lane_sort(
+            &mut reference,
+            SortOrder::Ascending,
+            &mut m_reference,
+            |rec| SortKey {
+                primary: u64::from(!rec.is_view),
+                tie: 0,
+            },
+        );
+        assert_eq!(packed, reference, "n={}", array.len());
+        assert_eq!(m_packed.report(), m_reference.report(), "n={}", array.len());
+    }
+
+    #[test]
+    fn packed_is_view_sort_equals_reference_on_edges() {
+        let mut lengths = vec![0usize, 1, 2, 3];
+        for shift in 2..=11u32 {
+            let p = 1usize << shift;
+            lengths.extend([p - 1, p, p + 1]);
+        }
+        for n in lengths {
+            assert_is_view_sort_matches_reference(&indexed_records(n, |_| true));
+            assert_is_view_sort_matches_reference(&indexed_records(n, |_| false));
+            assert_is_view_sort_matches_reference(&indexed_records(n, |i| i % 3 == 1));
+            assert_is_view_sort_matches_reference(&indexed_records(n, |i| i >= n / 2));
         }
     }
 
@@ -641,7 +857,7 @@ mod tests {
             }
         };
         let entries = array.entries_mut();
-        for (lo, hi) in batcher_pairs(n) {
+        for (lo, hi) in reference_pairs(n) {
             let key_lo = key(&entries[lo].recover());
             let key_hi = key(&entries[hi].recover());
             let out_of_order = match order {
@@ -773,6 +989,45 @@ mod tests {
             reference_aos_sort(&mut aos, order, &mut m_aos);
             prop_assert_eq!(soa, aos);
             prop_assert_eq!(m_soa.report(), m_aos.report());
+        }
+
+        #[test]
+        fn prop_run_walker_matches_reference_pairs(n in 0usize..=65_536) {
+            assert_walker_matches_reference(n);
+        }
+
+        #[test]
+        fn prop_packed_is_view_sort_equals_reference(
+            len in 0usize..600,
+            real_share in 0u64..=100,
+            seed: u64,
+        ) {
+            // A seeded real/dummy pattern at a random density, from all-dummy
+            // (share 0) to all-real (share 100).
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pattern: Vec<bool> = (0..len).map(|_| rng.gen_range(0..100u64) < real_share).collect();
+            assert_is_view_sort_matches_reference(&indexed_records(len, |i| pattern[i]));
+        }
+
+        #[test]
+        fn prop_run_kernel_equals_reference_with_tie_breaks(
+            keys in proptest::collection::vec((0u32..8, 0u32..3), 0..200),
+            descending: bool,
+        ) {
+            // Few distinct keys so the tie lane decides many comparators — the
+            // path the sort-merge join's "T1 before T2" rule relies on.
+            let order = if descending { SortOrder::Descending } else { SortOrder::Ascending };
+            let array = indexed_records(keys.len(), |_| true);
+            let key = |rec: &PlainRecord| {
+                let (primary, tie) = keys[rec.fields[0] as usize];
+                SortKey { primary: u64::from(primary), tie: u64::from(tie) }
+            };
+            let (mut runs, mut reference) = (array.clone(), array);
+            let (mut m_runs, mut m_reference) = (CostMeter::new(), CostMeter::new());
+            oblivious_sort_by_key(&mut runs, order, &mut m_runs, key);
+            reference_lane_sort(&mut reference, order, &mut m_reference, key);
+            prop_assert_eq!(runs, reference);
+            prop_assert_eq!(m_runs.report(), m_reference.report());
         }
 
         #[test]

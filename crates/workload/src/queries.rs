@@ -129,23 +129,58 @@ pub fn logical_join_group_count(
 }
 
 /// Evaluate the ground truth at every step `1..=horizon`, returning a vector indexed by
-/// `t − 1`. Used by the experiment drivers to avoid recomputing the full join per step.
+/// `t − 1` whose entries equal [`logical_join_count`]`(dataset, query, t)`.
+///
+/// One pass instead of one full join per step: every joined pair is bucketed once at
+/// the step it becomes visible — `max(left.arrival, right.arrival, 1)`, with the
+/// right arrival taken as 0 when the right relation is public — and a prefix sum over
+/// the horizon turns the per-step arrivals into cumulative counts. Cost
+/// `O(|L| + |R| + pairs + horizon)`, not `O(horizon · (|L| + |R|))`.
 #[must_use]
 pub fn logical_join_counts_per_step(
     dataset: &Dataset,
     query: &JoinQuery,
     horizon: u64,
 ) -> Vec<u64> {
-    (1..=horizon)
-        .map(|t| logical_join_count(dataset, query, t))
-        .collect()
+    let mut right_by_key: HashMap<u32, Vec<(u64, &[u32])>> = HashMap::new();
+    for r in dataset.right.updates() {
+        let visible = if dataset.right_is_public {
+            0
+        } else {
+            r.arrival
+        };
+        right_by_key
+            .entry(r.fields[0])
+            .or_default()
+            .push((visible, &r.fields));
+    }
+    let mut per_step = vec![0u64; usize::try_from(horizon).expect("horizon fits in memory")];
+    for l in dataset.left.updates() {
+        let Some(cands) = right_by_key.get(&l.fields[0]) else {
+            continue;
+        };
+        for &(right_visible, r) in cands {
+            let visible = l.arrival.max(right_visible).max(1);
+            if visible <= horizon && query.pair_matches(&l.fields, r) {
+                per_step[(visible - 1) as usize] += 1;
+            }
+        }
+    }
+    let mut running = 0u64;
+    for count in &mut per_step {
+        running += *count;
+        *count = running;
+    }
+    per_step
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cpdb::CpdbGenerator;
     use crate::dataset::{DatasetKind, WorkloadParams};
     use crate::tpcds::TpcDsGenerator;
+    use proptest::prelude::*;
 
     #[test]
     fn pair_matching_window_semantics() {
@@ -210,6 +245,37 @@ mod tests {
         }
         assert_eq!(per_step[59], logical_join_count(&ds, &q, 60));
         assert!(per_step[59] > 0);
+    }
+
+    proptest! {
+        #[test]
+        fn prop_per_step_counts_equal_pointwise_counts(
+            steps in 5u64..40,
+            rate in 1u32..12,
+            seed: u64,
+            overshoot in 0u64..15,
+        ) {
+            // TPC-ds has a private right relation, CPDB a public one; a horizon past
+            // the last arrival must keep repeating the final count.
+            let params = WorkloadParams { steps, view_entries_per_step: f64::from(rate), seed };
+            let q = JoinQuery { window: 10 };
+            for ds in [
+                TpcDsGenerator::new(params).generate(),
+                CpdbGenerator::new(params).generate(),
+            ] {
+                let horizon = steps + overshoot;
+                let per_step = logical_join_counts_per_step(&ds, &q, horizon);
+                let pointwise: Vec<u64> =
+                    (1..=horizon).map(|t| logical_join_count(&ds, &q, t)).collect();
+                prop_assert_eq!(per_step, pointwise, "{:?} right_is_public={}", ds.kind, ds.right_is_public);
+            }
+        }
+    }
+
+    #[test]
+    fn per_step_counts_of_an_empty_horizon_are_empty() {
+        let ds = CpdbGenerator::new(WorkloadParams::small(DatasetKind::Cpdb)).generate();
+        assert!(logical_join_counts_per_step(&ds, &JoinQuery { window: 10 }, 0).is_empty());
     }
 
     #[test]

@@ -36,14 +36,18 @@
 //! per-shard view scans — the linear-in-view cost that dominates query time — shrink
 //! roughly by `1/S`.
 //!
-//! [`ShardedSimulation`] with one shard reproduces the single-pair
-//! `incshrink::Simulation` exactly (same seed ⇒ same per-step trace); the
-//! `scaleout` benchmark binary sweeps `S ∈ {1, 2, 4, 8}` over both evaluation
-//! workloads.
+//! [`ShardedSimulation`] (shards stepped on the caller's thread) and
+//! [`ParallelShardedSimulation`] (one thread per shard plus an upload broker)
+//! are the two modes of one [`ClusterSimulation`], whose single step loop lives
+//! in [`driver`]. [`ShardedSimulation`] with one shard reproduces the
+//! single-pair `incshrink::Simulation` exactly (same seed ⇒ same per-step
+//! trace); the `scaleout` benchmark binary sweeps `S ∈ {1, 2, 4, 8}` over both
+//! evaluation workloads.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod driver;
 pub mod elastic;
 pub mod executor;
 pub mod router;
@@ -51,11 +55,13 @@ pub mod runtime;
 pub mod sharded;
 pub mod shuffle;
 
+pub use driver::ClusterSimulation;
 pub use elastic::{BucketMove, ElasticConfig, ElasticReport, ElasticRouting, ViewMigrator};
 pub use executor::ScatterGatherExecutor;
 pub use router::{shard_of, ShardRouter};
-pub use runtime::{ParallelRunReport, ParallelShardedSimulation, RuntimeStats};
+pub use runtime::{ParallelRunReport, ParallelShardedSimulation, RuntimeStats, Threaded};
 pub use sharded::{
-    shard_config, shard_pipelines, ClusterPrivacy, ClusterRunReport, ShardReport, ShardedSimulation,
+    shard_config, shard_pipelines, ClusterPrivacy, ClusterRunReport, Sequential, ShardReport,
+    ShardedSimulation,
 };
 pub use shuffle::{ClusterShuffler, RoutingPolicy, ShuffleStats};

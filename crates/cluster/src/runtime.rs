@@ -1,41 +1,47 @@
-//! The true parallel cluster runtime: shards as OS threads, uploads through a
-//! broker actor.
+//! The threaded shard set: shards as OS threads, uploads through a broker
+//! thread.
 //!
 //! [`crate::ShardedSimulation`] *models* cluster parallelism — it steps the
-//! shard pipelines sequentially and reports "slowest shard" timings from the
-//! cost model. [`ParallelShardedSimulation`] *executes* it: every
-//! `ShardPipeline` runs on its own OS thread behind a command/response channel
-//! (a shard actor message loop), and an upload **broker** thread accepts the
-//! owner streams, batches them per step, and routes/shuffles the resulting
-//! `StepUploads` to the shard threads with exactly
-//! `ClusterShuffler::route_step`'s semantics.
+//! shard pipelines one after another and reports "slowest shard" timings from
+//! the cost model. [`ParallelShardedSimulation`] *executes* it: the same step
+//! loop ([`crate::driver`]) drives a shard set in which every `ShardPipeline`
+//! runs on its own OS thread (a shard actor), and an upload **broker** thread
+//! owns the owner streams, seals them into per-step batches and routes the
+//! resulting `StepUploads` to the shard threads through the same shuffle
+//! routing the in-thread shard set uses.
 //!
 //! ```text
-//!             driver (this thread)
-//!      ┌── commands ──▶ broker thread ── StepUploads ──▶ shard thread 0..S-1
-//!      │                  │  owner streams → per-step      │  ShardPipeline
-//!      │                  │  batches → shuffle route       │  Transform+Shrink
-//!      ◀── acks ──────────┘  (span broker.route)           │  (span runtime.step)
-//!      ◀───────────────── step replies / query partials ───┘
+//!      step loop (driver thread)
+//!      ┌── step t ──────▶ broker thread ── step job + uploads ──▶ shard thread 0..S-1
+//!      │                  │  owner streams → per-step            │  ShardPipeline
+//!      │                  │  batches → shuffle route             │  Transform+Shrink
+//!      ◀── moves + step ──┘  (span broker.route)                 │  (span runtime.step)
+//!      │   answer channels                                       │
+//!      ◀─────────── step snapshots / query partials / partitions ┘
 //! ```
+//!
+//! Every request to an actor is a closure over the actor's state (`&mut
+//! ShardPipeline` for a shard) that answers on its own channel of the
+//! request's answer type, so a reply can never be of the wrong kind.
 //!
 //! # The replay contract
 //!
 //! The threaded runtime replays the sequential driver **bit for bit** — same
 //! analyst answers, same view share words (checked by fingerprint), same
 //! ε-ledger, same padded sizes — at every shard count, on both workloads, co-
-//! partitioned and shuffled. Three mechanisms make that work:
+//! partitioned and shuffled. Since both drivers run one step loop, the contract
+//! reduces to the two shard sets, and three mechanisms make it hold:
 //!
 //! * **Same randomness topology.** Each shard owns its pipeline (and its rngs)
 //!   wholesale; the broker owns the arrival rngs and the shuffler. No rng is
 //!   ever shared across threads, so no schedule can reorder draws.
-//! * **Lockstep steps.** The driver releases step `t+1` only after every shard
-//!   has replied for step `t`, mirroring the sequential loop's barrier. Within
+//! * **Lockstep steps.** The loop releases step `t+1` only after every shard
+//!   has answered for step `t`, mirroring the in-thread set's barrier. Within
 //!   a step the shards genuinely run concurrently — that concurrency is
 //!   invisible to the trajectory because shard states are disjoint.
-//! * **Deterministic aggregation order.** The driver collects replies and
-//!   query partials indexed by shard, so sums, maxima and the secure-add merge
-//!   see them in shard order no matter which thread finished first.
+//! * **Deterministic aggregation order.** Answers are collected indexed by
+//!   shard, so sums, maxima and the secure-add merge see them in shard order
+//!   no matter which thread finished first.
 //!
 //! Telemetry collectors installed on the driver thread are handed to every
 //! worker (`incshrink_telemetry::current_collectors`), so the ε-ledger and
@@ -50,11 +56,11 @@
 //!
 //! # Failure semantics
 //!
-//! A worker thread that panics mid-step drops its channel endpoints; the
-//! driver notices the closed channel, tears the whole actor system down
-//! (drops every command sender so no thread can block forever), joins every
-//! thread, and re-raises the original panic payload via
-//! `std::panic::resume_unwind` — never a hang on a dead channel.
+//! A worker thread that panics mid-step drops its job queue, and with it every
+//! queued request's answer channel; the driver notices the closed channel,
+//! tears the whole actor system down (drops every job sender so no thread can
+//! block forever), joins every thread, and re-raises the original panic
+//! payload via `std::panic::resume_unwind` — never a hang on a dead channel.
 //!
 //! Party-level failures take the same road: when a shard runs its server pair
 //! in [`PartyMode::Actor`]/[`PartyMode::Tcp`] and a party thread dies (its
@@ -64,404 +70,148 @@
 //! propagates through the exact teardown above.
 //! [`ParallelShardedSimulation::with_injected_party_crash`] exercises that
 //! path at a chosen step.
+//!
+//! [`PartyMode::Actor`]: incshrink_mpc::PartyMode::Actor
+//! [`PartyMode::Tcp`]: incshrink_mpc::PartyMode::Tcp
 
-use crate::elastic::{
-    group_moves, BucketMove, ElasticConfig, ElasticReport, ElasticRouting, ViewMigrator,
-};
-use crate::executor::ScatterGatherExecutor;
-use crate::router::ShardRouter;
-use crate::sharded::{
-    assert_elastic_viable, assert_routable, build_pipelines, shard_config, ClusterPrivacy,
-    ClusterRunReport, ShardReport, SHARD_SEED_STRIDE,
-};
-use crate::shuffle::{ClusterShuffler, RoutingPolicy, ShuffleStats};
-use incshrink::framework::{PipelineStepOutcome, StepUploads};
-use incshrink::metrics::{relative_error, SummaryBuilder};
-use incshrink::query::{Query, QueryEngine, QueryOutcome};
-use incshrink::{IncShrinkConfig, MigratedPartition, ShardPipeline, StepRecord, UpdateStrategy};
-use incshrink_mpc::cost::{CostModel, SimDuration};
-use incshrink_mpc::PartyMode;
-use incshrink_storage::{Relation, UploadBatch};
+use crate::driver::{export_buckets, shard_final, ClusterSimulation, Finished, ShardSet};
+use crate::elastic::BucketMove;
+use crate::sharded::ClusterRunReport;
+use crate::shuffle::ShuffleState;
+use incshrink::query::{Query, QueryOutcome};
+use incshrink::{MigratedPartition, ShardPipeline, StepSnapshot};
 use incshrink_telemetry::Collector;
-use incshrink_workload::Dataset;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
-/// Commands the driver (and broker) send to a shard thread.
-enum ShardCommand {
-    /// Run one upload epoch from the pipeline's own workload (co-partitioned).
-    Advance { t: u64 },
-    /// Run one upload epoch over broker-routed uploads (shuffled).
-    AdvanceWith { t: u64, uploads: Box<StepUploads> },
-    /// Execute the analyst query against this shard's view (or NM baseline)
-    /// and return the partial outcome for the driver's secure-add merge.
-    Query { query: Query, t: u64 },
-    /// Elastic migration: extract the listed virtual buckets' state (view
-    /// partition, active records, ledger budgets) and ship it to the driver.
-    ExportPartition { buckets: Vec<usize> },
-    /// Elastic migration: adopt a (DP-padded) partition, re-sharing everything
-    /// with randomness seeded by the driver's migrator.
-    ImportPartition {
-        partition: Box<MigratedPartition>,
-        import_seed: u64,
-    },
-    /// Test hook: panic inside the shard thread (teardown regression tests).
-    Crash { message: String },
-    /// Test hook: kill one of this shard's MPC party executors mid-run. Under
-    /// [`PartyMode::Actor`]/[`PartyMode::Tcp`] a party thread exits and the
-    /// next protocol round panics with `incshrink_mpc::PARTY_CRASH_MESSAGE`;
-    /// in-process mode panics immediately. Either way the panic rides the same
-    /// teardown/propagation path as a shard-thread panic.
-    PartyCrash,
-    /// Report end-of-run statistics and exit the thread.
-    Finish,
+/// A request queued on an actor thread: a closure over the actor's state.
+type Job<T> = Box<dyn FnOnce(&mut T) + Send>;
+
+/// Queue `request` on the actor behind `jobs`. Its answer arrives on the
+/// returned receiver — or the receiver disconnects when the actor is dead or
+/// dies first, because the request (holding the answer's sender) is dropped
+/// with its queue. Each request answers once, so a one-slot channel never
+/// blocks the actor.
+fn ask<T, R: Send + 'static>(
+    jobs: &Sender<Job<T>>,
+    request: impl FnOnce(&mut T) -> R + Send + 'static,
+) -> Receiver<R> {
+    let (answer, receiver) = sync_channel(1);
+    let _ = jobs.send(Box::new(move |state: &mut T| {
+        let _ = answer.send(request(state));
+    }));
+    receiver
 }
 
-/// What a shard thread reports back after one step.
-struct ShardStepReply {
-    outcome: PipelineStepOutcome,
-    true_count: u64,
-    view_len: usize,
-    view_real: usize,
-    cache_len: usize,
-    view_mb: f64,
-}
-
-/// End-of-run statistics from one shard thread.
-struct ShardFinal {
-    report: ShardReport,
-    host_transform_secs: f64,
-}
-
-enum ShardReply {
-    Step(ShardStepReply),
-    Query(Box<QueryOutcome>),
-    /// An exported migration partition plus the (public, padded) view length
-    /// the extraction scanned, for the driver-side cost accounting.
-    Partition {
-        partition: Box<MigratedPartition>,
-        view_len: usize,
-    },
-    /// Acknowledges an [`ShardCommand::ImportPartition`].
-    Imported,
-    Final(Box<ShardFinal>),
-}
-
-/// One shard pipeline running as an actor on its own OS thread.
-struct ShardActor {
-    commands: Sender<ShardCommand>,
-    replies: Receiver<ShardReply>,
-    handle: JoinHandle<()>,
-}
-
-impl ShardActor {
-    fn spawn(shard: usize, pipeline: ShardPipeline, collectors: Vec<Arc<dyn Collector>>) -> Self {
-        let (commands, command_rx) = channel::<ShardCommand>();
-        let (reply_tx, replies) = channel::<ShardReply>();
-        let handle = std::thread::Builder::new()
-            .name(format!("incshrink-shard-{shard}"))
-            .spawn(move || shard_main(shard, pipeline, collectors, &command_rx, &reply_tx))
-            .expect("spawn shard thread");
-        Self {
-            commands,
-            replies,
-            handle,
-        }
-    }
-}
-
-/// The shard thread's message loop. Exits when told to [`ShardCommand::Finish`]
-/// or when every command sender is gone.
-fn shard_main(
-    shard: usize,
-    mut pipeline: ShardPipeline,
+/// Run `state` on its own thread named `name`, executing queued jobs in order
+/// until every job sender is gone. The driver's telemetry collectors are
+/// re-installed for the thread's lifetime: the telemetry stack is
+/// thread-local, and the ε-ledger entries and observable sizes this worker
+/// emits belong in the same trace as the driver's.
+fn spawn_actor<T: Send + 'static>(
+    name: String,
+    mut state: T,
     collectors: Vec<Arc<dyn Collector>>,
-    commands: &Receiver<ShardCommand>,
-    replies: &Sender<ShardReply>,
-) {
-    // Re-install the driver's collectors for this thread's lifetime: the
-    // telemetry stack is thread-local, and the ε-ledger entries and observable
-    // sizes this shard emits belong in the same trace as the driver's.
-    let _guards: Vec<_> = collectors
-        .into_iter()
-        .map(incshrink_telemetry::install)
-        .collect();
-    let step = |pipeline: &mut ShardPipeline, t: u64, uploads: Option<Box<StepUploads>>| {
-        // Scope exactly like the sequential driver wraps `p.advance(t)`; the
-        // extra `runtime.step` span carries this thread's measured wall-clock
-        // stamped with the shard identity (one thread per shard).
-        let _shard_scope = incshrink_telemetry::shard_scope(shard as u64);
-        let _span = incshrink_telemetry::span!("runtime.step", step = t, shard = shard as u64);
-        let outcome = match uploads {
-            None => pipeline.advance(t),
-            Some(uploads) => pipeline.advance_with_uploads(t, *uploads),
-        };
-        ShardStepReply {
-            outcome,
-            true_count: pipeline.true_count(t),
-            view_len: pipeline.view().len(),
-            view_real: pipeline.view().true_cardinality(),
-            cache_len: pipeline.cache_len(),
-            view_mb: pipeline.view().size_mb(),
-        }
-    };
-    while let Ok(command) = commands.recv() {
-        let reply = match command {
-            ShardCommand::Advance { t } => ShardReply::Step(step(&mut pipeline, t, None)),
-            ShardCommand::AdvanceWith { t, uploads } => {
-                ShardReply::Step(step(&mut pipeline, t, Some(uploads)))
+) -> (Sender<Job<T>>, JoinHandle<()>) {
+    let (jobs, queue) = channel::<Job<T>>();
+    let handle = std::thread::Builder::new()
+        .name(name)
+        .spawn(move || {
+            let _guards: Vec<_> = collectors
+                .into_iter()
+                .map(incshrink_telemetry::install)
+                .collect();
+            while let Ok(job) = queue.recv() {
+                job(&mut state);
             }
-            ShardCommand::Query { query, t } => {
-                let partial = if pipeline.config().strategy == UpdateStrategy::NonMaterialized {
-                    pipeline.nm_engine(t).execute(&query)
-                } else {
-                    pipeline.execute_query(&query)
-                };
-                ShardReply::Query(Box::new(partial))
-            }
-            ShardCommand::ExportPartition { buckets } => {
-                let view_len = pipeline.view().len();
-                ShardReply::Partition {
-                    partition: Box::new(pipeline.export_partition(&buckets)),
-                    view_len,
-                }
-            }
-            ShardCommand::ImportPartition {
-                partition,
-                import_seed,
-            } => {
-                pipeline.import_partition(*partition, import_seed);
-                ShardReply::Imported
-            }
-            ShardCommand::Crash { message } => panic!("{message}"),
-            ShardCommand::PartyCrash => {
-                pipeline.inject_party_crash();
-                continue; // Actor/Tcp: the *next* protocol round panics.
-            }
-            ShardCommand::Finish => {
-                let _ = replies.send(ShardReply::Final(Box::new(ShardFinal {
-                    report: ShardReport {
-                        shard,
-                        sync_count: pipeline.view().sync_count(),
-                        view_len: pipeline.view().len(),
-                        view_real: pipeline.view().true_cardinality(),
-                        cache_len: pipeline.cache_len(),
-                        truncation_losses: pipeline.truncation_losses(),
-                        mpc_secs: pipeline.elapsed().as_secs_f64(),
-                        view_fingerprint: pipeline.view().fingerprint(),
-                    },
-                    host_transform_secs: pipeline.host_transform_secs(),
-                })));
-                return;
-            }
-        };
-        if replies.send(reply).is_err() {
-            return; // Driver is gone; exit cleanly.
-        }
-    }
+        })
+        .expect("spawn actor thread");
+    (jobs, handle)
 }
 
-/// Commands the driver sends to the broker thread.
-enum BrokerCommand {
-    /// Batch this step's owner streams and route them to the shard threads.
-    Step { t: u64 },
-    /// Report cumulative shuffle statistics and exit the thread.
-    Finish,
+/// The broker thread's state: the shuffle state behind shuffled routing and a
+/// job sender to every shard thread.
+struct Broker {
+    shards: Vec<Sender<Job<ShardPipeline>>>,
+    shuffle: Option<ShuffleState>,
 }
 
-enum BrokerReply {
-    /// All of step `t`'s uploads were dispatched to the shard threads, plus
-    /// any bucket moves the elastic control plane planned when closing the
-    /// step (the driver executes the state transfers after the step's
-    /// maintenance and query complete — same schedule as the sequential
-    /// driver).
-    Routed { moves: Vec<BucketMove> },
-    /// Boxed: the cumulative stats payload dwarfs the per-step `Routed` reply.
-    Final(Box<BrokerFinal>),
-}
-
-/// End-of-run payload of [`BrokerReply::Final`].
-struct BrokerFinal {
-    stats: ShuffleStats,
-    host_shuffle_secs: f64,
-    elastic: Option<ElasticReport>,
-}
-
-/// Owner-stream state the broker thread owns under [`RoutingPolicy::Shuffled`]:
-/// per-arrival-shard workload slices and upload rngs, plus the shuffler.
-struct ShuffleState {
-    arrival_parts: Vec<Dataset>,
-    arrival_rngs: Vec<StdRng>,
-    shuffler: ClusterShuffler,
-    left_ingest: usize,
-    right_ingest: usize,
-    /// When set, owner streams are consumed in randomly sized chunks before
-    /// each per-step batch is sealed — the soak test's proof that broker batch
-    /// boundaries cannot affect the trajectory.
-    chunk_rng: Option<StdRng>,
-}
-
-impl ShuffleState {
-    /// Build one arrival shard's padded batch for `relation` at step `t`,
-    /// staging the owner stream chunk by chunk when a chunk rng is installed.
-    /// The sealed batch is bit-identical either way: chunking only segments the
-    /// iteration over the arrivals, never their order or the rng draw sequence.
-    fn seal_batch(
-        part: &Dataset,
-        relation: Relation,
-        t: u64,
-        rng: &mut StdRng,
-        chunk_rng: &mut Option<StdRng>,
-    ) -> UploadBatch {
-        let (db, size) = match relation {
-            Relation::Left => (&part.left, part.left_batch_size),
-            Relation::Right => (&part.right, part.right_batch_size),
-        };
-        let arrivals = db.arrivals_at(t);
-        let mut staged = Vec::with_capacity(arrivals.len());
-        let mut rest = arrivals.as_slice();
-        while !rest.is_empty() {
-            let take = match chunk_rng {
-                Some(chunk_rng) => chunk_rng.gen_range(1..=rest.len()),
-                None => rest.len(),
-            };
-            let (chunk, tail) = rest.split_at(take);
-            staged.extend_from_slice(chunk);
-            rest = tail;
-        }
-        UploadBatch::from_updates(relation, t, &staged, db.schema.arity(), size, rng)
-    }
-
-    /// Batch every arrival shard's step-`t` stream for `relation` and shuffle-
-    /// route the batches to their join-key owners.
-    fn route(&mut self, t: u64, relation: Relation, dataset: &Dataset) -> Vec<UploadBatch> {
-        let batches: Vec<UploadBatch> = self
-            .arrival_parts
+impl Broker {
+    /// Seal and route step `t`'s owner streams and hand every shard its step
+    /// job. Returns the shards' answer channels plus the step's bucket moves.
+    fn release(&mut self, t: u64) -> (Vec<Receiver<StepSnapshot>>, Vec<BucketMove>) {
+        let _span = incshrink_telemetry::span!("broker.route", step = t);
+        let (uploads, moves) = ShuffleState::release(self.shuffle.as_mut(), self.shards.len(), t);
+        let answers = self
+            .shards
             .iter()
-            .zip(self.arrival_rngs.iter_mut())
-            .map(|(part, rng)| Self::seal_batch(part, relation, t, rng, &mut self.chunk_rng))
+            .zip(uploads)
+            .enumerate()
+            .map(|(shard, (jobs, uploads))| {
+                ask(jobs, move |pipeline: &mut ShardPipeline| {
+                    // Scope exactly like the in-thread set; the extra
+                    // `runtime.step` span carries this thread's measured
+                    // wall-clock stamped with the shard identity.
+                    let _shard_scope = incshrink_telemetry::shard_scope(shard as u64);
+                    let _span =
+                        incshrink_telemetry::span!("runtime.step", step = t, shard = shard as u64);
+                    pipeline.step(t, uploads)
+                })
+            })
             .collect();
-        let (key_column, ingest) = match relation {
-            Relation::Left => (dataset.left.schema.key_column, self.left_ingest),
-            Relation::Right => (dataset.right.schema.key_column, self.right_ingest),
+        (answers, moves)
+    }
+}
+
+/// The threaded shard set: `S` shard actor threads plus the broker thread.
+struct Actors {
+    shards: Vec<Sender<Job<ShardPipeline>>>,
+    broker: Sender<Job<Broker>>,
+    /// Every worker thread, shard threads first.
+    threads: Vec<JoinHandle<()>>,
+    faults: Threaded,
+}
+
+impl Actors {
+    /// Spawn one thread per pipeline plus the broker thread owning `shuffle`.
+    fn spawn(
+        pipelines: Vec<ShardPipeline>,
+        shuffle: Option<ShuffleState>,
+        faults: Threaded,
+    ) -> Self {
+        let collectors = incshrink_telemetry::current_collectors();
+        let (shards, mut threads): (Vec<_>, Vec<_>) = pipelines
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| spawn_actor(format!("incshrink-shard-{i}"), p, collectors.clone()))
+            .unzip();
+        let broker_state = Broker {
+            shards: shards.clone(),
+            shuffle,
         };
-        let (routed, _) = self
-            .shuffler
-            .route_step(t, relation, key_column, &batches, ingest);
-        routed
-    }
-}
-
-/// The broker thread's message loop: accept owner streams, batch per step,
-/// route to shard threads. Exits on [`BrokerCommand::Finish`], a closed command
-/// channel, or a dead shard (whose teardown the driver then drives).
-fn broker_main(
-    dataset: &Dataset,
-    mut shuffle: Option<ShuffleState>,
-    shard_commands: &[Sender<ShardCommand>],
-    collectors: Vec<Arc<dyn Collector>>,
-    commands: &Receiver<BrokerCommand>,
-    replies: &Sender<BrokerReply>,
-) {
-    let _guards: Vec<_> = collectors
-        .into_iter()
-        .map(incshrink_telemetry::install)
-        .collect();
-    let mut host_shuffle_secs = 0.0;
-    while let Ok(command) = commands.recv() {
-        match command {
-            BrokerCommand::Step { t } => {
-                let _span = incshrink_telemetry::span!("broker.route", step = t);
-                let mut moves = Vec::new();
-                let dispatched = match &mut shuffle {
-                    // Co-partitioned: every pipeline owns its arrival shard's
-                    // workload and builds its own uploads (the bit-for-bit
-                    // historical path) — the broker just releases the step.
-                    None => shard_commands
-                        .iter()
-                        .all(|tx| tx.send(ShardCommand::Advance { t }).is_ok()),
-                    Some(state) => {
-                        let started = Instant::now();
-                        let left_routed = state.route(t, Relation::Left, dataset);
-                        let right_routed = (!dataset.right_is_public)
-                            .then(|| state.route(t, Relation::Right, dataset));
-                        // Close the elastic control step after routing every
-                        // relation — same point in the step as the sequential
-                        // driver, so releases land at identical trace
-                        // coordinates.
-                        moves = state.shuffler.finish_step(t);
-                        host_shuffle_secs += started.elapsed().as_secs_f64();
-                        let mut rights = right_routed.map(Vec::into_iter);
-                        shard_commands.iter().zip(left_routed).all(|(tx, left)| {
-                            let right = rights
-                                .as_mut()
-                                .map(|it| it.next().expect("one routed right batch per shard"));
-                            tx.send(ShardCommand::AdvanceWith {
-                                t,
-                                uploads: Box::new(StepUploads { left, right }),
-                            })
-                            .is_ok()
-                        })
-                    }
-                };
-                // A dead shard (panicked thread) or a gone driver both mean the
-                // run is over; exit so the driver's teardown can join us.
-                if !dispatched || replies.send(BrokerReply::Routed { moves }).is_err() {
-                    return;
-                }
-            }
-            BrokerCommand::Finish => {
-                let stats = shuffle
-                    .as_ref()
-                    .map(|s| s.shuffler.stats())
-                    .unwrap_or_default();
-                let elastic = shuffle.as_ref().and_then(|s| s.shuffler.elastic_report());
-                let _ = replies.send(BrokerReply::Final(Box::new(BrokerFinal {
-                    stats,
-                    host_shuffle_secs,
-                    elastic,
-                })));
-                return;
-            }
+        let (broker, handle) =
+            spawn_actor("incshrink-broker".to_string(), broker_state, collectors);
+        threads.push(handle);
+        Self {
+            shards,
+            broker,
+            threads,
+            faults,
         }
     }
-}
 
-/// The live actor system: shard threads plus the broker thread, owned by the
-/// driver. Dropping the command senders (in [`ActorSystem::teardown`]) is what
-/// lets every worker's `recv` loop exit, so teardown can never deadlock.
-struct ActorSystem {
-    actors: Vec<ShardActor>,
-    broker_commands: Sender<BrokerCommand>,
-    broker_replies: Receiver<BrokerReply>,
-    broker_handle: JoinHandle<()>,
-}
-
-impl ActorSystem {
-    /// Drop every command sender, join every worker thread, and re-raise the
-    /// first worker panic (if any). Returns the number of threads joined.
-    fn teardown(self) -> usize {
-        let Self {
-            actors,
-            broker_commands,
-            broker_replies,
-            broker_handle,
-        } = self;
-        drop(broker_commands);
-        drop(broker_replies);
-        let mut handles = Vec::with_capacity(actors.len() + 1);
-        for actor in actors {
-            drop(actor.commands); // Unblock the shard's recv loop first...
-            handles.push(actor.handle); // ...then join below.
-        }
-        handles.push(broker_handle);
+    /// Drop every job sender, join every worker thread, and re-raise the first
+    /// worker panic (if any). Returns the number of threads joined.
+    fn teardown(&mut self) -> usize {
+        // Replacing the broker's only sender drops it: the broker's job loop
+        // ends and releases its shard senders, then clearing the driver's
+        // ends every shard's loop.
+        self.broker = channel().0;
+        self.shards.clear();
         let mut joined = 0usize;
         let mut panic_payload = None;
-        for handle in handles {
+        for handle in self.threads.drain(..) {
             if let Err(payload) = handle.join() {
                 panic_payload.get_or_insert(payload);
             }
@@ -473,11 +223,89 @@ impl ActorSystem {
         joined
     }
 
-    /// Teardown after a worker died unexpectedly: join everything, re-raise the
-    /// worker's panic — or fail loudly if it exited without one.
-    fn abort(self) -> ! {
-        let _ = self.teardown();
-        panic!("cluster worker exited unexpectedly mid-run");
+    /// The answer on `receiver` — or, when its worker died, teardown and the
+    /// worker's panic re-raised (a loud failure if it exited without one).
+    fn recv<R>(&mut self, receiver: Receiver<R>) -> R {
+        receiver.recv().unwrap_or_else(|_| {
+            let _ = self.teardown();
+            panic!("cluster worker exited unexpectedly mid-run");
+        })
+    }
+
+    fn recv_all<R>(&mut self, receivers: Vec<Receiver<R>>) -> Vec<R> {
+        receivers.into_iter().map(|r| self.recv(r)).collect()
+    }
+
+    /// Queue the injected faults due at the start of step `t`. They ride the
+    /// shard's queue ahead of the step job, so the shard (or one of its
+    /// parties) dies just before starting step `t`.
+    fn inject_faults(&self, t: u64) {
+        if let Some((shard, _)) = self.faults.injected_crash.filter(|&(_, at)| at == t) {
+            let _ = self.shards[shard].send(Box::new(move |_: &mut ShardPipeline| {
+                panic!("injected crash on shard {shard} at step {t}")
+            }));
+        }
+        if let Some((shard, _)) = self.faults.injected_party_crash.filter(|&(_, at)| at == t) {
+            // Actor/Tcp: the *next* protocol round panics.
+            let _ = self.shards[shard].send(Box::new(ShardPipeline::inject_party_crash));
+        }
+    }
+}
+
+impl ShardSet for Actors {
+    fn step(&mut self, t: u64) -> (Vec<StepSnapshot>, Vec<BucketMove>) {
+        self.inject_faults(t);
+        // Wait for the broker's dispatch before reading shard answers: a broker
+        // that died mid-dispatch must be detected here, not by blocking on a
+        // shard that never got work.
+        let released = ask(&self.broker, move |broker: &mut Broker| broker.release(t));
+        let (answers, moves) = self.recv(released);
+        (self.recv_all(answers), moves)
+    }
+
+    fn query(&mut self, query: &Query, t: u64) -> Vec<QueryOutcome> {
+        let partials = self
+            .shards
+            .iter()
+            .map(|jobs| {
+                let query = query.clone();
+                ask(jobs, move |p: &mut ShardPipeline| p.answer(&query, t))
+            })
+            .collect();
+        self.recv_all(partials)
+    }
+
+    fn export(&mut self, shard: usize, buckets: Vec<usize>) -> (MigratedPartition, usize) {
+        let exported = ask(&self.shards[shard], move |p: &mut ShardPipeline| {
+            export_buckets(p, &buckets)
+        });
+        self.recv(exported)
+    }
+
+    fn import(&mut self, shard: usize, partition: MigratedPartition, seed: u64) {
+        let imported = ask(&self.shards[shard], move |p: &mut ShardPipeline| {
+            p.import_partition(partition, seed);
+        });
+        self.recv(imported);
+    }
+
+    fn finish(mut self) -> Finished {
+        let shuffle = ask(&self.broker, |b: &mut Broker| {
+            ShuffleState::finish(b.shuffle.as_ref())
+        });
+        let shuffle = self.recv(shuffle);
+        let finals = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(shard, jobs)| ask(jobs, move |p: &mut ShardPipeline| shard_final(shard, p)))
+            .collect();
+        let shards = self.recv_all(finals);
+        Finished {
+            shards,
+            shuffle,
+            threads_joined: self.teardown(),
+        }
     }
 }
 
@@ -491,20 +319,22 @@ pub struct RuntimeStats {
     /// soak test's no-leak witness.
     pub threads_joined: usize,
     /// Measured wall-clock per step (broker routing + concurrent shard
-    /// advances + query scatter-gather).
+    /// advances + query scatter-gather + migrations).
     pub step_wall_secs: Vec<f64>,
-    /// Measured wall-clock of the whole run loop.
+    /// Measured wall-clock of the whole run loop, from after the threads are
+    /// spawned to after they are joined.
     pub total_wall_secs: f64,
 }
 
 impl RuntimeStats {
-    /// Mean measured wall-clock per step.
+    /// Mean measured wall-clock per step (end-of-run collection and thread
+    /// joins excluded).
     #[must_use]
     pub fn mean_step_wall_secs(&self) -> f64 {
         if self.step_wall_secs.is_empty() {
             0.0
         } else {
-            self.total_wall_secs / self.step_wall_secs.len() as f64
+            self.step_wall_secs.iter().sum::<f64>() / self.step_wall_secs.len() as f64
         }
     }
 }
@@ -520,100 +350,25 @@ pub struct ParallelRunReport {
     pub runtime: RuntimeStats,
 }
 
-/// The threaded cluster driver: same constructor surface and replay contract as
-/// [`crate::ShardedSimulation`], executed over real OS threads.
-pub struct ParallelShardedSimulation {
-    dataset: Dataset,
-    config: IncShrinkConfig,
-    shards: usize,
-    seed: u64,
-    cost_model: CostModel,
-    routing: RoutingPolicy,
-    party_mode: PartyMode,
-    elastic: Option<ElasticConfig>,
+/// The threaded mode of [`ClusterSimulation`], with its test hooks.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Threaded {
     ingest_chunk_seed: Option<u64>,
     injected_crash: Option<(usize, u64)>,
     injected_party_crash: Option<(usize, u64)>,
 }
 
-impl ParallelShardedSimulation {
-    /// Create a threaded cluster simulation over a workload.
-    ///
-    /// # Panics
-    /// Panics when `shards` is zero or the configuration fails
-    /// `IncShrinkConfig::validate` (before or after the ε/S split) — the same
-    /// rejections as the sequential driver.
-    #[must_use]
-    pub fn new(dataset: Dataset, config: IncShrinkConfig, shards: usize, seed: u64) -> Self {
-        assert!(shards > 0, "cluster needs at least one shard");
-        for cfg in [&config, &shard_config(&config, shards)] {
-            if let Some(problem) = cfg.validate() {
-                panic!("invalid IncShrink cluster configuration: {problem}");
-            }
-        }
-        Self {
-            dataset,
-            config,
-            shards,
-            seed,
-            cost_model: CostModel::default(),
-            routing: RoutingPolicy::CoPartitioned,
-            party_mode: PartyMode::from_env(),
-            elastic: None,
-            ingest_chunk_seed: None,
-            injected_crash: None,
-            injected_party_crash: None,
-        }
-    }
+/// The threaded cluster driver: the sequential driver's constructor surface
+/// and step loop, executed over `S` shard threads plus one broker thread.
+pub type ParallelShardedSimulation = ClusterSimulation<Threaded>;
 
-    /// Use a non-default cost model (e.g. WAN) for the simulated timings.
-    #[must_use]
-    pub fn with_cost_model(mut self, model: CostModel) -> Self {
-        self.cost_model = model;
-        self
-    }
-
-    /// Select how uploads are routed to shard pipelines (see
-    /// [`crate::ShardedSimulation::with_routing_policy`]).
-    ///
-    /// # Panics
-    /// Panics when the policy fails [`RoutingPolicy::validate`] (e.g. a
-    /// `Shuffled` cushion of zero).
-    #[must_use]
-    pub fn with_routing_policy(mut self, routing: RoutingPolicy) -> Self {
-        routing.validate();
-        self.routing = routing;
-        self
-    }
-
-    /// Enable the elastic sharding control plane (see
-    /// [`crate::ShardedSimulation::with_elastic`]). Same replay contract as the
-    /// sequential driver: identical seed and config produce the identical
-    /// trajectory, ledger, and migration schedule in every party mode.
-    ///
-    /// # Panics
-    /// Panics when the config fails [`ElasticConfig::validate`].
-    #[must_use]
-    pub fn with_elastic(mut self, elastic: ElasticConfig) -> Self {
-        elastic.validate();
-        self.elastic = Some(elastic);
-        self
-    }
-
+impl ClusterSimulation<Threaded> {
     /// Feed the broker's owner streams in randomly sized chunks (seeded by
     /// `seed`) instead of one slice per step. The trajectory is invariant in
     /// the chunking — that invariance is what the soak test hammers.
     #[must_use]
     pub fn with_ingest_chunk_seed(mut self, seed: u64) -> Self {
-        self.ingest_chunk_seed = Some(seed);
-        self
-    }
-
-    /// Select how each shard's two MPC servers execute (see
-    /// [`crate::ShardedSimulation::with_party_mode`]).
-    #[must_use]
-    pub fn with_party_mode(mut self, party_mode: PartyMode) -> Self {
-        self.party_mode = party_mode;
+        self.mode.ingest_chunk_seed = Some(seed);
         self
     }
 
@@ -622,58 +377,26 @@ impl ParallelShardedSimulation {
     #[doc(hidden)]
     #[must_use]
     pub fn with_injected_crash(mut self, shard: usize, step: u64) -> Self {
-        self.injected_crash = Some((shard, step));
+        self.mode.injected_crash = Some((shard, step));
         self
     }
 
     /// Test hook: kill one of shard `shard`'s MPC party executors at the start
-    /// of step `step` ([`ShardCommand::PartyCrash`]). Exercises the contract
-    /// that a dead *party* — a disconnected channel or TCP peer, not just a
-    /// panicking shard thread — propagates to the driver through the same
-    /// teardown path as [`Self::with_injected_crash`].
+    /// of step `step`. Under [`PartyMode::Actor`]/[`PartyMode::Tcp`] a party
+    /// thread exits and the next protocol round panics with
+    /// `incshrink_mpc::PARTY_CRASH_MESSAGE`; in-process mode panics
+    /// immediately. Exercises the contract that a dead *party* — a
+    /// disconnected channel or TCP peer, not just a panicking shard thread —
+    /// propagates to the driver through the same teardown path as
+    /// [`Self::with_injected_crash`].
+    ///
+    /// [`PartyMode::Actor`]: incshrink_mpc::PartyMode::Actor
+    /// [`PartyMode::Tcp`]: incshrink_mpc::PartyMode::Tcp
     #[doc(hidden)]
     #[must_use]
     pub fn with_injected_party_crash(mut self, shard: usize, step: u64) -> Self {
-        self.injected_party_crash = Some((shard, step));
+        self.mode.injected_party_crash = Some((shard, step));
         self
-    }
-
-    /// Spawn the actor system for this run's configuration.
-    fn spawn_actors(
-        &self,
-        pipelines: Vec<ShardPipeline>,
-        shuffle_state: Option<ShuffleState>,
-    ) -> ActorSystem {
-        let collectors = incshrink_telemetry::current_collectors();
-        let actors: Vec<ShardActor> = pipelines
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| ShardActor::spawn(i, p, collectors.clone()))
-            .collect();
-        let shard_senders: Vec<Sender<ShardCommand>> =
-            actors.iter().map(|a| a.commands.clone()).collect();
-        let (broker_commands, broker_command_rx) = channel::<BrokerCommand>();
-        let (broker_reply_tx, broker_replies) = channel::<BrokerReply>();
-        let broker_dataset = self.dataset.clone();
-        let broker_handle = std::thread::Builder::new()
-            .name("incshrink-broker".to_string())
-            .spawn(move || {
-                broker_main(
-                    &broker_dataset,
-                    shuffle_state,
-                    &shard_senders,
-                    collectors,
-                    &broker_command_rx,
-                    &broker_reply_tx,
-                )
-            })
-            .expect("spawn broker thread");
-        ActorSystem {
-            actors,
-            broker_commands,
-            broker_replies,
-            broker_handle,
-        }
     }
 
     /// Run the threaded cluster simulation to completion.
@@ -683,366 +406,32 @@ impl ParallelShardedSimulation {
     /// re-raises (via `std::panic::resume_unwind`) any panic from a worker
     /// thread after tearing the actor system down.
     #[must_use]
-    #[allow(clippy::too_many_lines)]
     pub fn run(self) -> ParallelRunReport {
-        assert_routable(&self.dataset, self.shards, self.routing);
-        assert_elastic_viable(&self.config, self.routing, self.elastic.as_ref());
-        let config = self.config;
-        let shards = self.shards;
-        let seed = self.seed;
-        let cost_model = self.cost_model;
-        let routing = self.routing;
-        let steps = self.dataset.params.steps;
-        let kind = self.dataset.kind;
-        let per_shard_config = shard_config(&config, shards);
-        let router = ShardRouter::new(shards);
+        let chunk_seed = self.mode.ingest_chunk_seed;
+        let (steps, pipelines, shuffle, faults) = self.prepare(chunk_seed);
+        let (report, runtime) = steps.drive(Actors::spawn(pipelines, shuffle, faults));
+        ParallelRunReport { report, runtime }
+    }
+}
 
-        // Shard ownership mirrors the sequential driver exactly: co-partitioned
-        // pipelines own their arrival shard's workload; shuffled pipelines own
-        // the join-key partition while the broker owns the arrival streams.
-        let (pipelines, shuffle_state) = match routing {
-            RoutingPolicy::CoPartitioned => (
-                build_pipelines(
-                    router.partition(&self.dataset),
-                    per_shard_config,
-                    seed,
-                    cost_model,
-                    self.party_mode,
-                ),
-                None,
-            ),
-            RoutingPolicy::Shuffled { bucket_cushion } => (
-                build_pipelines(
-                    router.partition_by_join_key(&self.dataset),
-                    per_shard_config,
-                    seed,
-                    cost_model,
-                    self.party_mode,
-                ),
-                Some(ShuffleState {
-                    arrival_parts: router.partition(&self.dataset),
-                    arrival_rngs: (0..shards)
-                        .map(|i| {
-                            StdRng::seed_from_u64(
-                                seed ^ 0x0B17_A5E5 ^ (i as u64).wrapping_mul(SHARD_SEED_STRIDE),
-                            )
-                        })
-                        .collect(),
-                    shuffler: {
-                        // The elastic control plane lives on the broker thread
-                        // with the shuffler it drives; its releases derive from
-                        // the cluster seed, so the trajectory matches the
-                        // sequential driver bit for bit.
-                        let mut shuffler =
-                            ClusterShuffler::new(shards, bucket_cushion, cost_model, seed);
-                        if let Some(cfg) = self.elastic {
-                            shuffler.enable_elastic(ElasticRouting::new(
-                                shards,
-                                per_shard_config.epsilon,
-                                seed,
-                                cfg,
-                            ));
-                        }
-                        shuffler
-                    },
-                    left_ingest: router.shard_batch_size(self.dataset.left_batch_size),
-                    right_ingest: router.shard_batch_size(self.dataset.right_batch_size),
-                    chunk_rng: self.ingest_chunk_seed.map(StdRng::seed_from_u64),
-                }),
-            ),
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn mean_step_wall_secs_averages_the_steps_not_the_whole_run() {
+        let stats = RuntimeStats {
+            shards: 2,
+            threads_joined: 3,
+            step_wall_secs: vec![0.25, 0.5, 0.75],
+            // Finish round-trips and thread joins sit outside every step.
+            total_wall_secs: 10.0,
         };
-        let injected_crash = self.injected_crash;
-        let injected_party_crash = self.injected_party_crash;
-        // The migration executor stays driver-owned (its rng derives from the
-        // cluster seed, never from party or thread randomness), mirroring the
-        // sequential driver's ownership so elastic trajectories are identical
-        // across party execution modes.
-        let mut migrator = self.elastic.map(|cfg| {
-            ViewMigrator::new(
-                cfg.migrate_slice * per_shard_config.epsilon,
-                seed,
-                cost_model,
-            )
-        });
-        let system = self.spawn_actors(pipelines, shuffle_state);
-
-        let merger = ScatterGatherExecutor::new(cost_model);
-        let counting_query = Query::count();
-        let mut builder = SummaryBuilder::new();
-        let mut trace = Vec::with_capacity(steps as usize);
-        let mut max_shard_qet_sum = 0.0;
-        let mut aggregation_sum = 0.0;
-        let mut queries = 0u64;
-        let mut host_query_secs = 0.0;
-        let mut step_wall_secs = Vec::with_capacity(steps as usize);
-        let run_started = Instant::now();
-
-        for t in 1..=steps {
-            let step_started = Instant::now();
-            if let Some((crash_shard, crash_step)) = injected_crash {
-                if t == crash_step {
-                    let _ = system.actors[crash_shard]
-                        .commands
-                        .send(ShardCommand::Crash {
-                            message: format!("injected crash on shard {crash_shard} at step {t}"),
-                        });
-                }
-            }
-            if let Some((crash_shard, crash_step)) = injected_party_crash {
-                if t == crash_step {
-                    // The command rides the same queue as the step release, so
-                    // the party dies just before the shard starts step `t`.
-                    let _ = system.actors[crash_shard]
-                        .commands
-                        .send(ShardCommand::PartyCrash);
-                }
-            }
-            // Release the step through the broker, then wait for its ack before
-            // reading shard replies: a broker that died mid-dispatch must be
-            // detected here, not by blocking on a shard that never got work.
-            if system
-                .broker_commands
-                .send(BrokerCommand::Step { t })
-                .is_err()
-            {
-                system.abort();
-            }
-            let pending_moves = match system.broker_replies.recv() {
-                Ok(BrokerReply::Routed { moves }) => moves,
-                Ok(BrokerReply::Final(_)) => {
-                    panic!("protocol desync: expected Routed broker reply")
-                }
-                Err(_) => system.abort(),
-            };
-
-            // The shards are now advancing concurrently; collect their replies
-            // in shard order so every aggregate below is order-deterministic.
-            let collected: Result<Vec<ShardStepReply>, ()> = system
-                .actors
-                .iter()
-                .map(|actor| match actor.replies.recv() {
-                    Ok(ShardReply::Step(reply)) => Ok(reply),
-                    Ok(_) => panic!("protocol desync: expected Step reply"),
-                    Err(_) => Err(()),
-                })
-                .collect();
-            let step_replies = match collected {
-                Ok(replies) => replies,
-                Err(()) => system.abort(),
-            };
-
-            let outcomes: Vec<PipelineStepOutcome> =
-                step_replies.iter().map(|r| r.outcome).collect();
-            let transform_max = outcomes.iter().filter_map(|o| o.transform_duration).max();
-            let shrink_max = outcomes.iter().filter_map(|o| o.shrink_duration).max();
-            let shrink_did_work = outcomes.iter().any(|o| o.shrink_did_work);
-            let synced = outcomes.iter().any(|o| o.synced);
-            if let Some(duration) = transform_max {
-                builder.record_transform(duration);
-            }
-            for outcome in &outcomes {
-                if let Some(report) = outcome.transform_report {
-                    builder.record_transform_compares(report.secure_compares);
-                }
-            }
-            if let Some(duration) = shrink_max {
-                builder.record_shrink(duration, shrink_did_work);
-            }
-            let true_count: u64 = step_replies.iter().map(|r| r.true_count).sum();
-
-            // Scatter-gather query: partials on the shard threads (safe to send
-            // now — every shard already replied for step `t`, so the query
-            // command cannot race the step command), merge on the driver.
-            let mut answer = None;
-            let mut l1 = 0.0;
-            let mut qet = SimDuration::ZERO;
-            if t % config.query_interval == 0 {
-                let _query_step_scope = incshrink_telemetry::step_scope(t);
-                let mut query_span = incshrink_telemetry::span!("query", step = t);
-                let query_started = Instant::now();
-                let scattered = system.actors.iter().all(|actor| {
-                    actor
-                        .commands
-                        .send(ShardCommand::Query {
-                            query: counting_query.clone(),
-                            t,
-                        })
-                        .is_ok()
-                });
-                if !scattered {
-                    system.abort();
-                }
-                let collected: Result<Vec<QueryOutcome>, ()> = system
-                    .actors
-                    .iter()
-                    .map(|actor| match actor.replies.recv() {
-                        Ok(ShardReply::Query(partial)) => Ok(*partial),
-                        Ok(_) => panic!("protocol desync: expected Query reply"),
-                        Err(_) => Err(()),
-                    })
-                    .collect();
-                let partials = match collected {
-                    Ok(partials) => partials,
-                    Err(()) => system.abort(),
-                };
-                let gathered = merger.merge(&counting_query, &partials);
-                host_query_secs += query_started.elapsed().as_secs_f64();
-                query_span.record_sim_secs(gathered.qet.as_secs_f64());
-                query_span.record_cost(gathered.report.into());
-                drop(query_span);
-                let gathered_answer = gathered.value.expect_scalar();
-                let breakdown = gathered.shards.expect("scatter-gather breakdown");
-                answer = Some(gathered_answer);
-                l1 = gathered_answer.abs_diff(true_count) as f64;
-                qet = gathered.qet;
-                max_shard_qet_sum += breakdown.max_shard_qet.as_secs_f64();
-                aggregation_sum += breakdown.aggregation_qet.as_secs_f64();
-                queries += 1;
-                builder.record_query(l1, relative_error(gathered_answer, true_count), qet);
-            }
-
-            builder.record_view_size(step_replies.iter().map(|r| r.view_mb).sum());
-            trace.push(StepRecord {
-                time: t,
-                true_count,
-                answer,
-                l1_error: l1,
-                qet_secs: qet.as_secs_f64(),
-                transform_secs: transform_max.map_or(0.0, SimDuration::as_secs_f64),
-                shrink_secs: shrink_max.map_or(0.0, SimDuration::as_secs_f64),
-                view_len: step_replies.iter().map(|r| r.view_len).sum(),
-                view_real: step_replies.iter().map(|r| r.view_real).sum(),
-                cache_len: step_replies.iter().map(|r| r.cache_len).sum(),
-                synced,
-            });
-
-            // Execute planned migrations after the step's maintenance and
-            // query are done — same schedule as the sequential driver. The
-            // export/import round-trips are synchronous per edge, so the
-            // grouped, sorted `group_moves` order fully determines the
-            // migrator's rng draw sequence.
-            if !pending_moves.is_empty() {
-                let migrator = migrator.as_mut().expect("moves imply an elastic migrator");
-                for ((from, to), buckets) in group_moves(&pending_moves) {
-                    if system.actors[from]
-                        .commands
-                        .send(ShardCommand::ExportPartition { buckets })
-                        .is_err()
-                    {
-                        system.abort();
-                    }
-                    let (partition, view_len) = match system.actors[from].replies.recv() {
-                        Ok(ShardReply::Partition {
-                            partition,
-                            view_len,
-                        }) => (partition, view_len),
-                        Ok(_) => panic!("protocol desync: expected Partition reply"),
-                        Err(_) => system.abort(),
-                    };
-                    let (part, import_seed) = migrator.prepare(t, to, *partition, view_len);
-                    if system.actors[to]
-                        .commands
-                        .send(ShardCommand::ImportPartition {
-                            partition: Box::new(part),
-                            import_seed,
-                        })
-                        .is_err()
-                    {
-                        system.abort();
-                    }
-                    match system.actors[to].replies.recv() {
-                        Ok(ShardReply::Imported) => {}
-                        Ok(_) => panic!("protocol desync: expected Imported reply"),
-                        Err(_) => system.abort(),
-                    }
-                }
-            }
-            step_wall_secs.push(step_started.elapsed().as_secs_f64());
-        }
-
-        // Collect end-of-run statistics, then retire the actor system.
-        let finished = system.broker_commands.send(BrokerCommand::Finish).is_ok();
-        if !finished {
-            system.abort();
-        }
-        let (shuffle_stats, host_shuffle_secs, elastic_routing_report) =
-            match system.broker_replies.recv() {
-                Ok(BrokerReply::Final(done)) => (done.stats, done.host_shuffle_secs, done.elastic),
-                Ok(BrokerReply::Routed { .. }) => {
-                    panic!("protocol desync: expected Final broker reply")
-                }
-                Err(_) => system.abort(),
-            };
-        let elastic_report = elastic_routing_report.map(|mut routing_side| {
-            if let Some(m) = &migrator {
-                routing_side.merge(&m.report());
-            }
-            routing_side
-        });
-        if !system
-            .actors
-            .iter()
-            .all(|actor| actor.commands.send(ShardCommand::Finish).is_ok())
-        {
-            system.abort();
-        }
-        let collected: Result<Vec<ShardFinal>, ()> = system
-            .actors
-            .iter()
-            .map(|actor| match actor.replies.recv() {
-                Ok(ShardReply::Final(f)) => Ok(*f),
-                Ok(_) => panic!("protocol desync: expected Final reply"),
-                Err(_) => Err(()),
-            })
-            .collect();
-        let finals = match collected {
-            Ok(finals) => finals,
-            Err(()) => system.abort(),
+        assert!((stats.mean_step_wall_secs() - 0.5).abs() < 1e-12);
+        let empty = RuntimeStats {
+            step_wall_secs: Vec::new(),
+            ..stats
         };
-        let threads_joined = system.teardown();
-        let total_wall_secs = run_started.elapsed().as_secs_f64();
-
-        builder.record_totals(
-            finals.iter().map(|f| f.report.sync_count).sum(),
-            finals.iter().map(|f| f.report.truncation_losses).sum(),
-        );
-        builder.record_host_transform_secs(finals.iter().map(|f| f.host_transform_secs).sum());
-        builder.record_host_query_secs(host_query_secs);
-        builder.record_host_shuffle_secs(host_shuffle_secs);
-
-        let div = |sum: f64| {
-            if queries == 0 {
-                0.0
-            } else {
-                sum / queries as f64
-            }
-        };
-        ParallelRunReport {
-            report: ClusterRunReport {
-                dataset: kind,
-                config,
-                shards,
-                routing,
-                steps: trace,
-                summary: builder.build(),
-                shard_reports: finals.into_iter().map(|f| f.report).collect(),
-                privacy: ClusterPrivacy::compose(&config, shards),
-                avg_max_shard_qet_secs: div(max_shard_qet_sum),
-                avg_aggregation_secs: div(aggregation_sum),
-                avg_shuffle_secs: if steps == 0 {
-                    0.0
-                } else {
-                    shuffle_stats.total_secs / steps as f64
-                },
-                shuffle: shuffle_stats,
-                elastic: elastic_report,
-            },
-            runtime: RuntimeStats {
-                shards,
-                threads_joined,
-                step_wall_secs,
-                total_wall_secs,
-            },
-        }
+        assert_eq!(empty.mean_step_wall_secs(), 0.0);
     }
 }

@@ -36,15 +36,20 @@
 //! which changes `S > 1` shard configurations on purpose).
 
 use crate::elastic::{BucketMove, ElasticReport, ElasticRouting};
+use crate::router::ShardRouter;
+use crate::sharded::SHARD_SEED_STRIDE;
+use incshrink::framework::StepUploads;
 use incshrink_mpc::cost::{CostMeter, CostModel, SimDuration};
 use incshrink_oblivious::shuffle::{shuffle_route, shuffle_route_mapped};
 use incshrink_oblivious::sort::charge_sort_network;
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::{PlainRecord, SharedRecordPair};
 use incshrink_storage::{RecordId, Relation, UploadBatch};
+use incshrink_workload::Dataset;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 /// How the cluster routes owner uploads to shard pipelines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -406,5 +411,170 @@ impl ClusterShuffler {
         meter.bytes(out.len() as u64 * width * 4);
         meter.round();
         (out, out_ids)
+    }
+}
+
+/// The owner streams behind a [`RoutingPolicy::Shuffled`] run: per-arrival-shard
+/// workload slices and upload rngs, plus the shuffler they feed. Both shard
+/// sets route through it — in the caller's thread, or on the threaded
+/// runtime's broker — so a step's uploads are sealed and routed one way only.
+pub(crate) struct ShuffleState {
+    arrival_parts: Vec<Dataset>,
+    arrival_rngs: Vec<StdRng>,
+    shuffler: ClusterShuffler,
+    /// Join-key column and per-shard ingest size, per relation.
+    left: (usize, usize),
+    right: (usize, usize),
+    right_is_public: bool,
+    /// When set, owner streams are consumed in randomly sized chunks before
+    /// each per-step batch is sealed — the soak test's proof that broker batch
+    /// boundaries cannot affect the trajectory.
+    chunk_rng: Option<StdRng>,
+    /// Host wall-clock spent sealing, routing and closing steps.
+    host_secs: f64,
+}
+
+/// End-of-run figures of the shuffle phase (all zero for co-partitioned runs).
+#[derive(Default)]
+pub(crate) struct ShuffleFinal {
+    pub(crate) stats: ShuffleStats,
+    pub(crate) host_secs: f64,
+    pub(crate) elastic: Option<ElasticReport>,
+}
+
+impl ShuffleState {
+    /// Partition `dataset`'s owner streams by arrival shard and seed one upload
+    /// rng per arrival shard from the cluster `seed`.
+    pub(crate) fn new(
+        dataset: &Dataset,
+        router: &ShardRouter,
+        shuffler: ClusterShuffler,
+        seed: u64,
+        chunk_seed: Option<u64>,
+    ) -> Self {
+        let shards = router.shards();
+        Self {
+            arrival_parts: router.partition(dataset),
+            arrival_rngs: (0..shards)
+                .map(|i| {
+                    StdRng::seed_from_u64(
+                        seed ^ 0x0B17_A5E5 ^ (i as u64).wrapping_mul(SHARD_SEED_STRIDE),
+                    )
+                })
+                .collect(),
+            shuffler,
+            left: (
+                dataset.left.schema.key_column,
+                router.shard_batch_size(dataset.left_batch_size),
+            ),
+            right: (
+                dataset.right.schema.key_column,
+                router.shard_batch_size(dataset.right_batch_size),
+            ),
+            right_is_public: dataset.right_is_public,
+            chunk_rng: chunk_seed.map(StdRng::seed_from_u64),
+            host_secs: 0.0,
+        }
+    }
+
+    /// Step `t`'s uploads for `shards` shard pipelines — `None` each when there
+    /// is no shuffle phase and every pipeline builds its own (co-partitioned)
+    /// — plus the bucket moves the elastic control plane planned for after the
+    /// step.
+    pub(crate) fn release(
+        state: Option<&mut Self>,
+        shards: usize,
+        t: u64,
+    ) -> (Vec<Option<StepUploads>>, Vec<BucketMove>) {
+        match state {
+            None => ((0..shards).map(|_| None).collect(), Vec::new()),
+            Some(state) => {
+                let (uploads, moves) = state.step(t);
+                (uploads.into_iter().map(Some).collect(), moves)
+            }
+        }
+    }
+
+    /// Seal and shuffle-route every relation's step-`t` batches, then close the
+    /// elastic control step: window releases, cut refreshes and planned moves
+    /// happen here, with the assignment switch taking effect for step `t+1`'s
+    /// routing. The moves' state transfer is the driver's, after the step's
+    /// maintenance and query.
+    fn step(&mut self, t: u64) -> (Vec<StepUploads>, Vec<BucketMove>) {
+        let started = Instant::now();
+        let left = self.route(t, Relation::Left);
+        let right = (!self.right_is_public).then(|| self.route(t, Relation::Right));
+        let moves = self.shuffler.finish_step(t);
+        self.host_secs += started.elapsed().as_secs_f64();
+        let mut rights = right.map(Vec::into_iter);
+        let uploads = left
+            .into_iter()
+            .map(|left| StepUploads {
+                left,
+                right: rights
+                    .as_mut()
+                    .map(|it| it.next().expect("one routed right batch per shard")),
+            })
+            .collect();
+        (uploads, moves)
+    }
+
+    /// Batch every arrival shard's step-`t` stream for `relation` and shuffle-
+    /// route the batches to their join-key owners.
+    fn route(&mut self, t: u64, relation: Relation) -> Vec<UploadBatch> {
+        let batches: Vec<UploadBatch> = self
+            .arrival_parts
+            .iter()
+            .zip(self.arrival_rngs.iter_mut())
+            .map(|(part, rng)| Self::seal_batch(part, relation, t, rng, &mut self.chunk_rng))
+            .collect();
+        let (key_column, ingest) = match relation {
+            Relation::Left => self.left,
+            Relation::Right => self.right,
+        };
+        let (routed, _) = self
+            .shuffler
+            .route_step(t, relation, key_column, &batches, ingest);
+        routed
+    }
+
+    /// Build one arrival shard's padded batch for `relation` at step `t`,
+    /// staging the owner stream chunk by chunk when a chunk rng is installed.
+    /// The sealed batch is bit-identical either way: chunking only segments the
+    /// iteration over the arrivals, never their order or the rng draw sequence.
+    fn seal_batch(
+        part: &Dataset,
+        relation: Relation,
+        t: u64,
+        rng: &mut StdRng,
+        chunk_rng: &mut Option<StdRng>,
+    ) -> UploadBatch {
+        let (db, size) = match relation {
+            Relation::Left => (&part.left, part.left_batch_size),
+            Relation::Right => (&part.right, part.right_batch_size),
+        };
+        let arrivals = db.arrivals_at(t);
+        let mut staged = Vec::with_capacity(arrivals.len());
+        let mut rest = arrivals.as_slice();
+        while !rest.is_empty() {
+            let take = match chunk_rng {
+                Some(chunk_rng) => chunk_rng.gen_range(1..=rest.len()),
+                None => rest.len(),
+            };
+            let (chunk, tail) = rest.split_at(take);
+            staged.extend_from_slice(chunk);
+            rest = tail;
+        }
+        UploadBatch::from_updates(relation, t, &staged, db.schema.arity(), size, rng)
+    }
+
+    /// The run's shuffle statistics, host time and elastic routing report
+    /// (all zero without a shuffle phase).
+    pub(crate) fn finish(state: Option<&Self>) -> ShuffleFinal {
+        state.map_or_else(ShuffleFinal::default, |s| ShuffleFinal {
+            stats: s.shuffler.stats(),
+            host_secs: s.host_secs,
+            elastic: s.shuffler.elastic_report(),
+        })
     }
 }

@@ -155,6 +155,30 @@ fn threaded_runtime_replays_sequential_bit_for_bit_across_the_matrix() {
             }
         }
     }
+    // The baseline strategies through the same contract: NM's per-shard join
+    // recomputation, OTM's one-time materialization and EP's exhaustive
+    // padding, at S ∈ {1, 2}.
+    for strategy in [
+        UpdateStrategy::NonMaterialized,
+        UpdateStrategy::OneTimeMaterialization,
+        UpdateStrategy::ExhaustivePadding,
+    ] {
+        for (base, config) in [
+            (tpcds(36, 21), IncShrinkConfig::tpcds_default(strategy)),
+            (cpdb(30, 22), IncShrinkConfig::cpdb_default(strategy)),
+        ] {
+            for shards in [1usize, 2] {
+                for routing in [RoutingPolicy::CoPartitioned, RoutingPolicy::shuffled()] {
+                    let dataset = match routing {
+                        RoutingPolicy::CoPartitioned => base.clone(),
+                        RoutingPolicy::Shuffled { .. } => to_store_partitioned(&base, 8, 0.5, 77),
+                    };
+                    let (sequential, threaded) = run_both(&dataset, config, shards, seed, routing);
+                    assert_bit_for_bit(&sequential, &threaded, shards);
+                }
+            }
+        }
+    }
 }
 
 proptest! {

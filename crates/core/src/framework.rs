@@ -11,11 +11,13 @@
 //! cache, Transform, Shrink, materialized view — is factored into [`ShardPipeline`] so
 //! that the same code path serves both the single-pair [`Simulation`] and the sharded
 //! cluster driver (`incshrink-cluster`), which steps `S` independent pipelines in
-//! lockstep and scatter-gathers the analyst's query across their views.
+//! lockstep and scatter-gathers the analyst's query across their views. Both
+//! record every step through [`crate::metrics::StepRecorder`], a single pipeline
+//! being the one-shard case.
 
 use crate::baselines::{delta_routing, route_delta, DeltaRouting};
 use crate::config::{IncShrinkConfig, UpdateStrategy};
-use crate::metrics::{relative_error, Summary, SummaryBuilder};
+use crate::metrics::{StepRecorder, Summary};
 use crate::query::{
     view_count_query, NmBaselineEngine, Query, QueryEngine, QueryOutcome, QueryResult, ViewEngine,
 };
@@ -108,6 +110,25 @@ pub struct PipelineStepOutcome {
     /// counter-inspecting action — the cluster cadence tests assert these scale with
     /// the shard arrival rate).
     pub flushed: bool,
+}
+
+/// One pipeline's step outcome plus the readings every driver records for that
+/// step ([`ShardPipeline::step`]); the input of
+/// [`crate::metrics::StepRecorder::record_step`].
+#[derive(Debug, Clone, Copy)]
+pub struct StepSnapshot {
+    /// What the step's maintenance did.
+    pub outcome: PipelineStepOutcome,
+    /// Ground-truth answer over this pipeline's data at the step.
+    pub true_count: u64,
+    /// View length (real + dummy) after the step.
+    pub view_len: usize,
+    /// Real view entries after the step.
+    pub view_real: usize,
+    /// Secure-cache length after the step.
+    pub cache_len: usize,
+    /// View size in megabytes after the step.
+    pub view_mb: f64,
 }
 
 /// One step's owner upload batches, ready for ingestion by a pipeline.
@@ -453,6 +474,17 @@ impl ShardPipeline {
         )
     }
 
+    /// This pipeline's answer to `query` at step `t`: the NM baseline recomputes
+    /// the join over the outsourced data, every other strategy scans the
+    /// materialized view. A cluster merges these per-shard answers.
+    #[must_use]
+    pub fn answer(&self, query: &Query, t: u64) -> QueryOutcome {
+        match self.config.strategy {
+            UpdateStrategy::NonMaterialized => self.nm_engine(t).execute(query),
+            _ => self.execute_query(query),
+        }
+    }
+
     /// Simulated cost of answering the query without a view (NM baseline) over this
     /// pipeline's accumulated outsourced data.
     #[must_use]
@@ -523,6 +555,24 @@ impl ShardPipeline {
     pub fn advance(&mut self, t: u64) -> PipelineStepOutcome {
         let uploads = self.upload_batches(t);
         self.advance_with_uploads(t, uploads)
+    }
+
+    /// One driver step: [`Self::advance`] — or [`Self::advance_with_uploads`]
+    /// when a shuffle phase routed `uploads` in — followed by the readings the
+    /// driver's bookkeeping records.
+    pub fn step(&mut self, t: u64, uploads: Option<StepUploads>) -> StepSnapshot {
+        let outcome = match uploads {
+            None => self.advance(t),
+            Some(uploads) => self.advance_with_uploads(t, uploads),
+        };
+        StepSnapshot {
+            outcome,
+            true_count: self.true_count(t),
+            view_len: self.view.len(),
+            view_real: self.view.true_cardinality(),
+            cache_len: self.cache.len(),
+            view_mb: self.view.size_mb(),
+        }
     }
 
     /// Run one upload epoch over externally provided upload batches — the ingest
@@ -684,79 +734,28 @@ impl Simulation {
             ShardPipeline::with_party_mode(dataset, config, seed, cost_model, party_mode);
         pipeline.set_calibration(calibration);
 
-        let mut builder = SummaryBuilder::new();
-        let mut trace = Vec::with_capacity(steps as usize);
-        let mut host_query_secs = 0.0;
-
+        let count = Query::count();
+        let mut recorder = StepRecorder::new(steps);
         for t in 1..=steps {
-            let outcome = pipeline.advance(t);
-            if let Some(duration) = outcome.transform_duration {
-                builder.record_transform(duration);
-            }
-            if let Some(report) = outcome.transform_report {
-                builder.record_transform_compares(report.secure_compares);
-            }
-            if let Some(duration) = outcome.shrink_duration {
-                builder.record_shrink(duration, outcome.shrink_did_work);
-            }
-
-            // --- Query.
-            let true_count = pipeline.true_count(t);
-            let mut answer = None;
-            let mut l1 = 0.0;
-            let mut qet = SimDuration::ZERO;
-            if t % config.query_interval == 0 {
-                let _step_scope = incshrink_telemetry::step_scope(t);
-                let mut query_span = incshrink_telemetry::span!("query");
-                let started = std::time::Instant::now();
-                // The counting query goes through the typed engine layer: the NM
-                // baseline recomputes (and exactly answers) the full join, every
-                // other strategy scans its materialized view.
-                let outcome = match config.strategy {
-                    UpdateStrategy::NonMaterialized => {
-                        pipeline.nm_engine(t).execute(&Query::count())
-                    }
-                    _ => pipeline.execute_query(&Query::count()),
-                };
-                host_query_secs += started.elapsed().as_secs_f64();
-                query_span.record_sim_secs(outcome.qet.as_secs_f64());
-                query_span.record_cost(outcome.report.into());
-                drop(query_span);
-                let (ans, duration) = (outcome.value.expect_scalar(), outcome.qet);
-                answer = Some(ans);
-                l1 = ans.abs_diff(true_count) as f64;
-                qet = duration;
-                builder.record_query(l1, relative_error(ans, true_count), duration);
-            }
-
-            builder.record_view_size(pipeline.view().size_mb());
-            trace.push(StepRecord {
-                time: t,
-                true_count,
-                answer,
-                l1_error: l1,
-                qet_secs: qet.as_secs_f64(),
-                transform_secs: outcome
-                    .transform_duration
-                    .map_or(0.0, SimDuration::as_secs_f64),
-                shrink_secs: outcome
-                    .shrink_duration
-                    .map_or(0.0, SimDuration::as_secs_f64),
-                view_len: pipeline.view().len(),
-                view_real: pipeline.view().true_cardinality(),
-                cache_len: pipeline.cache_len(),
-                synced: outcome.synced,
+            let snapshot = pipeline.step(t, None);
+            let answer = (t % config.query_interval == 0).then(|| {
+                let outcome = recorder.query(t, || pipeline.answer(&count, t));
+                (outcome.value.expect_scalar(), outcome.qet)
             });
+            recorder.record_step(t, &[snapshot], answer);
         }
 
-        builder.record_totals(pipeline.view().sync_count(), pipeline.truncation_losses());
-        builder.record_host_transform_secs(pipeline.host_transform_secs());
-        builder.record_host_query_secs(host_query_secs);
+        let (steps, summary) = recorder.finish(
+            pipeline.view().sync_count(),
+            pipeline.truncation_losses(),
+            pipeline.host_transform_secs(),
+            0.0,
+        );
         RunReport {
             dataset: kind,
             config,
-            steps: trace,
-            summary: builder.build(),
+            steps,
+            summary,
         }
     }
 }

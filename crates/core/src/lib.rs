@@ -73,9 +73,9 @@ pub mod prelude {
 pub use config::{IncShrinkConfig, JoinPlanMode, UpdateStrategy};
 pub use framework::{
     MigratedPartition, PipelineStepOutcome, RunReport, ShardPipeline, Simulation, StepRecord,
-    StepUploads,
+    StepSnapshot, StepUploads,
 };
-pub use metrics::Summary;
+pub use metrics::{StepRecorder, Summary};
 pub use query::{
     AggregateSpec, FilterExpr, NmBaselineEngine, PhysicalPlan, Query, QueryEngine, QueryOutcome,
     QueryValue, ShardBreakdown, ShardPartial, ViewEngine,

@@ -4,10 +4,14 @@
 //! time (QET), average Transform / Shrink execution time and materialized view size
 //! (Table 2), plus total MPC and total query time for the scaling experiment
 //! (Figure 9). [`Summary`] aggregates exactly those quantities from the per-step
-//! [`crate::framework::StepRecord`]s.
+//! [`crate::framework::StepRecord`]s; [`StepRecorder`] is the one place every driver
+//! records those steps.
 
+use crate::framework::{StepRecord, StepSnapshot};
+use crate::query::QueryOutcome;
 use incshrink_mpc::cost::SimDuration;
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 /// Aggregated statistics of one simulation run.
 ///
@@ -186,6 +190,114 @@ impl SummaryBuilder {
             host_query_secs: self.host_query_secs,
             host_shuffle_secs: self.host_shuffle_secs,
         }
+    }
+}
+
+/// Per-step bookkeeping of one run, shared by the single-pair
+/// [`crate::Simulation`] and the cluster drivers: the [`StepRecord`] trace plus
+/// the [`SummaryBuilder`] statistics, both fed from per-shard [`StepSnapshot`]s
+/// in shard order. The shard pipelines run in parallel, so a step's simulated
+/// Transform and Shrink times are the slowest shard's, while secure compares,
+/// truths and view sizes sum across shards. A single pipeline is the one-shard
+/// case.
+#[derive(Debug, Clone, Default)]
+pub struct StepRecorder {
+    summary: SummaryBuilder,
+    steps: Vec<StepRecord>,
+}
+
+impl StepRecorder {
+    /// A recorder with room for `horizon` steps.
+    #[must_use]
+    pub fn new(horizon: u64) -> Self {
+        Self {
+            summary: SummaryBuilder::new(),
+            steps: Vec::with_capacity(horizon as usize),
+        }
+    }
+
+    /// Run step `t`'s analyst query under a `query` span, adding its host
+    /// wall-clock to the summary's query time.
+    pub fn query(&mut self, t: u64, execute: impl FnOnce() -> QueryOutcome) -> QueryOutcome {
+        let _step_scope = incshrink_telemetry::step_scope(t);
+        let mut span = incshrink_telemetry::span!("query", step = t);
+        let started = Instant::now();
+        let outcome = execute();
+        self.summary
+            .record_host_query_secs(started.elapsed().as_secs_f64());
+        span.record_sim_secs(outcome.qet.as_secs_f64());
+        span.record_cost(outcome.report.into());
+        outcome
+    }
+
+    /// Record step `t` from every shard's snapshot (in shard order) and, when a
+    /// query was issued, the analyst's answer with its simulated QET.
+    pub fn record_step(
+        &mut self,
+        t: u64,
+        shards: &[StepSnapshot],
+        answer: Option<(u64, SimDuration)>,
+    ) {
+        let transform = shards
+            .iter()
+            .filter_map(|s| s.outcome.transform_duration)
+            .max();
+        let shrink = shards
+            .iter()
+            .filter_map(|s| s.outcome.shrink_duration)
+            .max();
+        if let Some(duration) = transform {
+            self.summary.record_transform(duration);
+        }
+        for report in shards.iter().filter_map(|s| s.outcome.transform_report) {
+            self.summary
+                .record_transform_compares(report.secure_compares);
+        }
+        if let Some(duration) = shrink {
+            let did_work = shards.iter().any(|s| s.outcome.shrink_did_work);
+            self.summary.record_shrink(duration, did_work);
+        }
+        let true_count = shards.iter().map(|s| s.true_count).sum();
+        let (answer, l1_error, qet) = match answer {
+            Some((value, qet)) => {
+                let l1 = value.abs_diff(true_count) as f64;
+                self.summary
+                    .record_query(l1, relative_error(value, true_count), qet);
+                (Some(value), l1, qet)
+            }
+            None => (None, 0.0, SimDuration::ZERO),
+        };
+        self.summary
+            .record_view_size(shards.iter().map(|s| s.view_mb).sum());
+        self.steps.push(StepRecord {
+            time: t,
+            true_count,
+            answer,
+            l1_error,
+            qet_secs: qet.as_secs_f64(),
+            transform_secs: transform.map_or(0.0, SimDuration::as_secs_f64),
+            shrink_secs: shrink.map_or(0.0, SimDuration::as_secs_f64),
+            view_len: shards.iter().map(|s| s.view_len).sum(),
+            view_real: shards.iter().map(|s| s.view_real).sum(),
+            cache_len: shards.iter().map(|s| s.cache_len).sum(),
+            synced: shards.iter().any(|s| s.outcome.synced),
+        });
+    }
+
+    /// Close the run with its end-of-run totals and the host time measured
+    /// outside queries; returns the trace and its summary.
+    #[must_use]
+    pub fn finish(
+        mut self,
+        sync_count: u64,
+        truncation_losses: u64,
+        host_transform_secs: f64,
+        host_shuffle_secs: f64,
+    ) -> (Vec<StepRecord>, Summary) {
+        self.summary.record_totals(sync_count, truncation_losses);
+        self.summary.record_host_transform_secs(host_transform_secs);
+        self.summary.record_host_shuffle_secs(host_shuffle_secs);
+        (self.steps, self.summary.build())
     }
 }
 

@@ -20,6 +20,22 @@ fn random_array(n: usize, arity: usize, seed: u64) -> SharedArrayPair {
     SharedArrayPair::share_records(&records, &mut rng)
 }
 
+/// A cache of `n` entries, each real with probability `real_per_mille / 1000`
+/// and a dummy otherwise — the shape of a DP-padded secure cache.
+fn padded_cache(n: usize, arity: usize, real_per_mille: u64, seed: u64) -> SharedArrayPair {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let records: Vec<PlainRecord> = (0..n)
+        .map(|_| {
+            if rng.gen_range(0..1000u64) < real_per_mille {
+                PlainRecord::real((0..arity).map(|_| rng.gen()).collect())
+            } else {
+                PlainRecord::dummy(arity)
+            }
+        })
+        .collect();
+    SharedArrayPair::share_records(&records, &mut rng)
+}
+
 fn bench_oblivious_sort(c: &mut Criterion) {
     let mut group = c.benchmark_group("oblivious_sort");
     for &n in &[64usize, 256, 1024] {
@@ -68,7 +84,10 @@ fn bench_truncated_join(c: &mut Criterion) {
 
 fn bench_cache_read(c: &mut Criterion) {
     // Cache sizes the Shrink workloads actually sort per synchronization
-    // (roughly 10K–30K entries), not just toy arrays.
+    // (roughly 10K–30K entries), not just toy arrays, at three real-entry
+    // densities: the exhaustively padded caches the workloads produce hold
+    // ~0.3 % real entries, 50 % real maximizes the swaps, and the all-real rows
+    // are kept for comparison with earlier measurements.
     let mut group = c.benchmark_group("cache_read");
     for &n in &[1024usize, 8192, 32768] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
@@ -79,6 +98,20 @@ fn bench_cache_read(c: &mut Criterion) {
                 cache_read(&mut cache, n / 4, &mut meter).len()
             });
         });
+    }
+    for (label, real_per_mille) in [("0.3%", 3u64), ("50%", 500)] {
+        for &n in &[1024usize, 8192, 32768] {
+            let id = BenchmarkId::new(format!("{label}_real"), n);
+            group.bench_with_input(id, &n, |b, &n| {
+                let base = padded_cache(n, 4, real_per_mille, 13);
+                let real = base.true_cardinality();
+                b.iter(|| {
+                    let mut cache = base.clone();
+                    let mut meter = CostMeter::new();
+                    cache_read(&mut cache, real, &mut meter).len()
+                });
+            });
+        }
     }
     group.finish();
 }

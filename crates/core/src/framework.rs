@@ -524,6 +524,7 @@ impl ShardPipeline {
     /// can substitute externally routed batches via
     /// [`Self::advance_with_uploads`].
     pub fn upload_batches(&mut self, t: u64) -> StepUploads {
+        let _span = incshrink_telemetry::span!("upload", step = t);
         let left_updates = self.dataset.left.arrivals_at(t);
         let left = UploadBatch::from_updates(
             Relation::Left,

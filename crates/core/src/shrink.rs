@@ -264,7 +264,7 @@ mod tests {
         // With ε = 100 the noise is negligible: read size ≈ true counter (6).
         assert!((out.read_size as i64 - 6).abs() <= 1);
         assert!(view.true_cardinality() >= 5);
-        // Counter reset after the update.
+        // The counter is decremented by the synchronized real count; all 6 were read.
         assert_eq!(ctx.recover_named(CARDINALITY_SHARE), Some(0));
         assert!(out.duration.as_secs_f64() > 0.0);
     }

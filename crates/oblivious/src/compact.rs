@@ -5,11 +5,12 @@
 //! dummies, the cache is first obliviously sorted on the `isView` bit, then the first
 //! `sz` slots are cut off; the remainder stays in the cache.
 //!
-//! The sort is [`oblivious_sort_by_is_view`]: the Batcher network walked as
-//! contiguous runs over a single packed `u64` lane per entry (`dummy_bit << 63 |
-//! index`), after which the record shares are gathered once. Only the `isView`
-//! shares are read to build the lane, so the host cost of a read grows with the
-//! comparator count, not with the record width.
+//! The sort is [`oblivious_sort_by_is_view`]: the Batcher network swept level by
+//! level over a bitset of the entries' `isView` bits, 64 slots per word, swapping
+//! only the records whose comparator fires. The simulated MPC is charged for every
+//! comparator, but the host cost of a read grows with `levels · n/64` plus the
+//! number of records that actually move — small on the sparse, exhaustively padded
+//! caches Shrink reads — not with the comparator count or the record width.
 
 use crate::sort::oblivious_sort_by_is_view;
 use incshrink_mpc::cost::CostMeter;

@@ -28,8 +28,11 @@
 //!   final arrangement — and the metered cost, charged up front from the input
 //!   length — is bit-identical to swapping whole records at every comparator.
 //! * The `isView` sort of the Shrink cache read has a one-bit key and no
-//!   tie-breaker, so [`oblivious_sort_by_is_view`] reads only the `isView` shares and
-//!   packs key and position into **one lane word**, `dummy_bit << 63 | index`.
+//!   tie-breaker, so [`oblivious_sort_by_is_view`] is **bit-sliced**: it reads the
+//!   `isView` shares once into a dummy bitset and sweeps each network level as
+//!   64-bit words of it, swapping only the records whose comparator fires. Its host
+//!   cost grows with `levels · n/64 + swaps`; the charged cost is still every
+//!   comparator of the network.
 //! * For merging two *already sorted* runs (the delta sort-merge join's cache ‖
 //!   delta union) a full Batcher re-sort is overkill: [`bitonic_merge_pairs`] is the
 //!   `O(n log n)`-comparator bitonic merge network for that case, and
@@ -428,12 +431,17 @@ pub fn oblivious_sort_by_field(
 /// Oblivious sort by the `isView` bit so that all real tuples precede all dummies —
 /// the first step of the Shrink cache read (`ObliSort(σ, key = isView)`).
 ///
-/// The key is a single bit with no tie-breaker, so the kernel reads only each
-/// entry's `isView` shares and packs the whole comparator state into one `u64` lane
-/// word, `dummy_bit << 63 | index`. A comparator swaps exactly when its low word
-/// is a dummy and its high word is real — `(x & !y) >> 63` — which is the general
-/// kernel's out-of-order test for the key `(primary = !isView, tie = 0)`, so the
-/// permutation and the up-front charge are the same as sorting on that key.
+/// The key is a single bit with no tie-breaker, so a comparator `(i, i + k)` swaps
+/// exactly when slot `i` holds a dummy and slot `i + k` a real entry. The kernel
+/// reads each entry's `isView` shares once into a dummy bitset `D`, then sweeps the
+/// network level by level (`for_each_batcher_level`) as 64-bit words: the swap
+/// mask of word `w` is `L_w & D_w & !(D >> k)_w`, with `L_w` the level's low-end
+/// mask. Only the set bits of a swap mask touch records (one `swap` of two entries
+/// each), and `D` is updated in place — every slot meets at most one comparator per
+/// level, so the level's comparators commute. The arrangement equals swapping whole
+/// records at every comparator of the network, and the charge is taken up front from
+/// the length: the simulated MPC still pays for every comparator, while the host
+/// pays `O(levels · n/64 + swaps)`.
 pub fn oblivious_sort_by_is_view(array: &mut SharedArrayPair, meter: &mut CostMeter) {
     let n = array.len();
     if n < 2 {
@@ -442,25 +450,154 @@ pub fn oblivious_sort_by_is_view(array: &mut SharedArrayPair, meter: &mut CostMe
     let width = array.arity().unwrap_or(1) as u64 + 1;
     charge_sort_network(n, width, meter);
 
-    let mut lane: Vec<u64> = array
-        .entries()
-        .iter()
-        .enumerate()
-        .map(|(i, entry)| (u64::from(entry.is_view.recover() == 0) << 63) | i as u64)
-        .collect();
-    for_each_batcher_run(n, |lo, hi, cnt| {
-        let (low, high) = run_halves(&mut lane, lo, hi, cnt);
-        for (x, y) in low.iter_mut().zip(high.iter_mut()) {
-            let mask = ((*x & !*y) >> 63).wrapping_neg();
-            let d = (*x ^ *y) & mask;
-            *x ^= d;
-            *y ^= d;
-        }
+    // Bit i of `dummy` is set iff slot i holds a dummy; the spare zero word keeps the
+    // shifted reads and writes of the last word in bounds.
+    let mut dummy = vec![0u64; n.div_ceil(64) + 1];
+    for (word, chunk) in dummy.iter_mut().zip(array.entries().chunks(64)) {
+        *word = chunk.iter().enumerate().fold(0, |bits, (j, entry)| {
+            bits | u64::from(entry.is_view.recover() == 0) << j
+        });
+    }
+    let entries = array.entries_mut();
+    for_each_batcher_level(n, |level| {
+        let k = level.k();
+        let (q, r) = (k / 64, k % 64);
+        level.for_each_word(|w, low| {
+            // Bit j: slot 64w + j + k holds a dummy. The upper word shifts in two
+            // steps so that r = 0 stays in range and contributes nothing.
+            let high_dummy = (dummy[w + q] >> r) | ((dummy[w + q + 1] << 1) << (63 - r));
+            let swap = low & dummy[w] & !high_dummy;
+            if swap == 0 {
+                return;
+            }
+            dummy[w] &= !swap;
+            dummy[w + q] |= swap << r;
+            dummy[w + q + 1] |= (swap >> 1) >> (63 - r);
+            let mut bits = swap;
+            while bits != 0 {
+                let i = 64 * w + bits.trailing_zeros() as usize;
+                entries.swap(i, i + k);
+                bits &= bits - 1;
+            }
+        });
     });
+}
 
-    // Clear the dummy bit to recover each slot's source index.
-    let perm: Vec<usize> = lane.iter().map(|&w| (w & !(1 << 63)) as usize).collect();
-    array.permute_gather(&perm);
+/// The low ends of one `(p, k)` level of the pruned Batcher network as 64-bit words
+/// of slot bits: slot `i` is compared against `i + k` when
+///
+/// * `k = p`: `i mod 2p < p`;
+/// * `k < p`: `i mod 2k ≥ k` and `i mod 2p < 2p − k`;
+///
+/// and `i + k < n` — the same comparators [`for_each_batcher_run`] emits for the
+/// level. No slot is both a low and a high end, so each slot meets at most one
+/// comparator per level.
+pub(crate) struct LevelMask {
+    p: usize,
+    k: usize,
+    /// Low ends lie below `n − k`.
+    limit: usize,
+    /// Bits `j < 64` that are low ends, ignoring the clip: every word's mask when
+    /// `2p ≤ 64`, the periodic `2k` pattern when `k < 64 < 2p`.
+    pattern: u64,
+}
+
+impl LevelMask {
+    fn new(n: usize, p: usize, k: usize) -> Self {
+        let pattern = (0..64)
+            .filter(|&j| is_low_end(j, p, k))
+            .fold(0u64, |mask, j| mask | 1 << j);
+        Self {
+            p,
+            k,
+            limit: n - k,
+            pattern,
+        }
+    }
+
+    /// The level's comparator distance: low end `i` meets high end `i + k`.
+    pub(crate) fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Call `f(w, mask)` with the low-end mask of slots `[64w, 64w + 64)`, in
+    /// ascending `w`, for every word whose mask is not zero.
+    pub(crate) fn for_each_word(&self, mut f: impl FnMut(usize, u64)) {
+        let words = self.limit.div_ceil(64);
+        let clip = u64::MAX >> (64 * words - self.limit);
+        let (p, k, pattern) = (self.p, self.k, self.pattern);
+        if 2 * p <= 64 {
+            // The period 2p divides 64: every word has the same mask.
+            for_each_nonzero(words, clip, |_| pattern, &mut f);
+        } else if k >= 64 {
+            // Both moduli are multiples of 64: a word is wholly in or out.
+            let whole = |w: usize| 0u64.wrapping_sub(u64::from(is_low_end(64 * w, p, k)));
+            for_each_nonzero(words, clip, whole, &mut f);
+        } else {
+            // The periodic 2k pattern, except that the top k slots of a 2p-block's
+            // last word fall in [2p − k, 2p).
+            let block_end = 2 * p / 64 - 1;
+            let tail = pattern & (u64::MAX >> k);
+            let periodic = |w: usize| {
+                if w & block_end == block_end {
+                    tail
+                } else {
+                    pattern
+                }
+            };
+            for_each_nonzero(words, clip, periodic, &mut f);
+        }
+    }
+}
+
+/// Call `f(w, mask(w))` for every word `w < words` whose mask is not zero, the
+/// last one clipped by `clip`. Generic over `mask` so that each level shape
+/// compiles to its own loop with no per-word test of the shape or the clip.
+fn for_each_nonzero(
+    words: usize,
+    clip: u64,
+    mask: impl Fn(usize) -> u64,
+    f: &mut impl FnMut(usize, u64),
+) {
+    let last = words - 1;
+    for w in 0..last {
+        let m = mask(w);
+        if m != 0 {
+            f(w, m);
+        }
+    }
+    let m = mask(last) & clip;
+    if m != 0 {
+        f(last, m);
+    }
+}
+
+/// Whether slot `i` is a low end of level `(p, k)`, ignoring the clip at `n`.
+fn is_low_end(i: usize, p: usize, k: usize) -> bool {
+    if k == p {
+        i & p == 0
+    } else {
+        i & k != 0 && i & (2 * p - 1) < 2 * p - k
+    }
+}
+
+/// Walk the pruned Batcher network for `n` elements level by level, in the
+/// execution order of [`for_each_batcher_run`]: `p = 1, 2, 4, …` and, within each
+/// `p`, `k = p, p/2, …, 1`.
+pub(crate) fn for_each_batcher_level(n: usize, mut level: impl FnMut(LevelMask)) {
+    if n < 2 {
+        return;
+    }
+    let padded = n.next_power_of_two();
+    let mut p = 1usize;
+    while p < padded {
+        let mut k = p;
+        while k >= 1 {
+            level(LevelMask::new(n, p, k));
+            k /= 2;
+        }
+        p *= 2;
+    }
 }
 
 #[cfg(test)]
@@ -641,7 +778,7 @@ mod tests {
 
     /// The pre-run-walker three-lane kernel, kept verbatim (one comparator at a
     /// time over [`reference_pairs`]) as the permutation oracle for the run-walking
-    /// and packed-lane kernels.
+    /// and bit-sliced kernels.
     fn reference_lane_sort<F>(
         array: &mut SharedArrayPair,
         order: SortOrder,
@@ -730,8 +867,9 @@ mod tests {
         SharedArrayPair::share_records(&records, &mut rng)
     }
 
-    /// Sort `array` with the packed isView kernel and with the reference three-lane
-    /// kernel on the same key; both the arrangement and the CostReport must agree.
+    /// Sort `array` with the bit-sliced isView kernel and with the reference
+    /// three-lane kernel on the same key; both the arrangement and the CostReport
+    /// must agree.
     fn assert_is_view_sort_matches_reference(array: &SharedArrayPair) {
         let (mut packed, mut reference) = (array.clone(), array.clone());
         let (mut m_packed, mut m_reference) = (CostMeter::new(), CostMeter::new());
@@ -761,6 +899,110 @@ mod tests {
             assert_is_view_sort_matches_reference(&indexed_records(n, |_| false));
             assert_is_view_sort_matches_reference(&indexed_records(n, |i| i % 3 == 1));
             assert_is_view_sort_matches_reference(&indexed_records(n, |i| i >= n / 2));
+        }
+    }
+
+    /// The pre-bit-sliced packed-lane `isView` kernel, kept verbatim as the oracle
+    /// the bit-sliced sweep must reproduce permutation for permutation.
+    fn reference_packed_is_view_sort(array: &mut SharedArrayPair, meter: &mut CostMeter) {
+        let n = array.len();
+        if n < 2 {
+            return;
+        }
+        let width = array.arity().unwrap_or(1) as u64 + 1;
+        charge_sort_network(n, width, meter);
+
+        let mut lane: Vec<u64> = array
+            .entries()
+            .iter()
+            .enumerate()
+            .map(|(i, entry)| (u64::from(entry.is_view.recover() == 0) << 63) | i as u64)
+            .collect();
+        for_each_batcher_run(n, |lo, hi, cnt| {
+            let (low, high) = run_halves(&mut lane, lo, hi, cnt);
+            for (x, y) in low.iter_mut().zip(high.iter_mut()) {
+                let mask = ((*x & !*y) >> 63).wrapping_neg();
+                let d = (*x ^ *y) & mask;
+                *x ^= d;
+                *y ^= d;
+            }
+        });
+
+        // Clear the dummy bit to recover each slot's source index.
+        let perm: Vec<usize> = lane.iter().map(|&w| (w & !(1 << 63)) as usize).collect();
+        array.permute_gather(&perm);
+    }
+
+    /// Sort `array` with the bit-sliced kernel and with the packed-lane reference;
+    /// the arrangement (records carry their position) and the CostReport must agree.
+    fn assert_bit_sliced_matches_packed(array: &SharedArrayPair) {
+        let (mut sliced, mut packed) = (array.clone(), array.clone());
+        let (mut m_sliced, mut m_packed) = (CostMeter::new(), CostMeter::new());
+        oblivious_sort_by_is_view(&mut sliced, &mut m_sliced);
+        reference_packed_is_view_sort(&mut packed, &mut m_packed);
+        assert_eq!(sliced, packed, "n={}", array.len());
+        assert_eq!(m_sliced.report(), m_packed.report(), "n={}", array.len());
+    }
+
+    /// A seeded real/dummy pattern of `len` slots with each slot real with
+    /// probability `real_per_mille / 1000`.
+    fn random_pattern(len: usize, real_per_mille: u64, seed: u64) -> Vec<bool> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..len)
+            .map(|_| rng.gen_range(0..1000u64) < real_per_mille)
+            .collect()
+    }
+
+    #[test]
+    fn bit_sliced_is_view_sort_equals_packed_reference_for_every_small_n() {
+        for n in 0..=2048usize {
+            let seed = n as u64;
+            let one = StdRng::seed_from_u64(seed).gen_range(0..n.max(1));
+            let sparse = random_pattern(n, 3, seed);
+            let half = random_pattern(n, 500, seed);
+            assert_bit_sliced_matches_packed(&indexed_records(n, |_| false));
+            assert_bit_sliced_matches_packed(&indexed_records(n, |i| i == one));
+            assert_bit_sliced_matches_packed(&indexed_records(n, |i| i != one));
+            assert_bit_sliced_matches_packed(&indexed_records(n, |i| sparse[i]));
+            assert_bit_sliced_matches_packed(&indexed_records(n, |i| half[i]));
+            assert_bit_sliced_matches_packed(&indexed_records(n, |_| true));
+        }
+    }
+
+    #[test]
+    fn level_masks_enumerate_exactly_the_run_walker_pairs() {
+        for n in 0..=4096usize {
+            // Per level, the low ends in ascending order, then the next level —
+            // the walker's order, since its runs within a level move right.
+            let mut from_masks = Vec::new();
+            for_each_batcher_level(n, |level| {
+                let k = level.k();
+                let words = n.div_ceil(64) + 1;
+                let (mut lows, mut highs) = (vec![0u64; words], vec![0u64; words]);
+                let mut previous = None;
+                level.for_each_word(|w, mask| {
+                    assert!(previous < Some(w), "n={n} k={k}: word {w} out of order");
+                    previous = Some(w);
+                    lows[w] = mask;
+                    let mut bits = mask;
+                    while bits != 0 {
+                        let i = 64 * w + bits.trailing_zeros() as usize;
+                        assert!(i + k < n, "n={n} k={k}: high end {} past n", i + k);
+                        from_masks.push((i, i + k));
+                        highs[(i + k) / 64] |= 1 << ((i + k) % 64);
+                        bits &= bits - 1;
+                    }
+                });
+                // No slot is both a low and a high end of one level.
+                for w in 0..words {
+                    assert_eq!(lows[w] & highs[w], 0, "n={n} k={k} w={w}");
+                }
+            });
+            let mut from_runs = Vec::with_capacity(from_masks.len());
+            for_each_batcher_run(n, |lo, hi, cnt| {
+                from_runs.extend((0..cnt).map(|i| (lo + i, hi + i)));
+            });
+            assert_eq!(from_masks, from_runs, "n={n}");
         }
     }
 
@@ -1007,6 +1249,16 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let pattern: Vec<bool> = (0..len).map(|_| rng.gen_range(0..100u64) < real_share).collect();
             assert_is_view_sort_matches_reference(&indexed_records(len, |i| pattern[i]));
+        }
+
+        #[test]
+        fn prop_bit_sliced_is_view_sort_equals_packed_reference(
+            len in 0usize..=65_536,
+            real_per_mille in 0u64..=1000,
+            seed: u64,
+        ) {
+            let pattern = random_pattern(len, real_per_mille, seed);
+            assert_bit_sliced_matches_packed(&indexed_records(len, |i| pattern[i]));
         }
 
         #[test]

@@ -8,7 +8,9 @@ use incshrink_oblivious::{
     SortOrder,
 };
 use incshrink_secretshare::arrays::SharedArrayPair;
+use incshrink_secretshare::columns::SharedColumnsPair;
 use incshrink_secretshare::tuple::PlainRecord;
+use incshrink_storage::SecureCache;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -87,15 +89,16 @@ fn bench_cache_read(c: &mut Criterion) {
     // (roughly 10K–30K entries), not just toy arrays, at three real-entry
     // densities: the exhaustively padded caches the workloads produce hold
     // ~0.3 % real entries, 50 % real maximizes the swaps, and the all-real rows
-    // are kept for comparison with earlier measurements.
+    // are kept for comparison with earlier measurements. Reads run over the
+    // column lanes the cache stores.
     let mut group = c.benchmark_group("cache_read");
     for &n in &[1024usize, 8192, 32768] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let base = random_array(n, 4, 13);
+            let base = SharedColumnsPair::from_pair(&random_array(n, 4, 13));
             b.iter(|| {
                 let mut cache = base.clone();
                 let mut meter = CostMeter::new();
-                cache_read(&mut cache, n / 4, &mut meter).len()
+                cache_read(cache.rows_mut(0), n / 4, &mut meter).len()
             });
         });
     }
@@ -103,15 +106,32 @@ fn bench_cache_read(c: &mut Criterion) {
         for &n in &[1024usize, 8192, 32768] {
             let id = BenchmarkId::new(format!("{label}_real"), n);
             group.bench_with_input(id, &n, |b, &n| {
-                let base = padded_cache(n, 4, real_per_mille, 13);
+                let base = SharedColumnsPair::from_pair(&padded_cache(n, 4, real_per_mille, 13));
                 let real = base.true_cardinality();
                 b.iter(|| {
                     let mut cache = base.clone();
                     let mut meter = CostMeter::new();
-                    cache_read(&mut cache, real, &mut meter).len()
+                    cache_read(cache.rows_mut(0), real, &mut meter).len()
                 });
             });
         }
+    }
+    // The Shrink steady state: each iteration writes a 64-entry padded ΔV into a
+    // cache of `n` entries and cuts 64 entries back off, so the cache length stays
+    // at `n`. Measures the sort plus the amortized O(read) cut and write; no clone
+    // of the cache per iteration.
+    for &n in &[1024usize, 8192, 32768] {
+        let id = BenchmarkId::new("write_cut_cycle", n);
+        group.bench_with_input(id, &n, |b, &n| {
+            let mut cache = SecureCache::new();
+            cache.write(padded_cache(n, 4, 3, 13));
+            let delta = SharedColumnsPair::from_pair(&padded_cache(64, 4, 30, 17));
+            let mut meter = CostMeter::new();
+            b.iter(|| {
+                cache.write(delta.clone());
+                cache.read(64, &mut meter).len()
+            });
+        });
     }
     group.finish();
 }

@@ -237,8 +237,9 @@ impl<M> ClusterSimulation<M> {
         // pipelines own the *join-key* partition (their ground truth), while
         // the shuffle state owns the arrival streams and re-routes them each
         // step.
+        let (kind, steps) = (dataset.kind, dataset.params.steps);
         let (parts, shuffle) = match routing {
-            RoutingPolicy::CoPartitioned => (router.partition(&dataset), None),
+            RoutingPolicy::CoPartitioned => (router.partition_owned(dataset), None),
             RoutingPolicy::Shuffled { bucket_cushion } => {
                 // The elastic control plane lives with the shuffler it drives;
                 // its releases derive from the cluster seed.
@@ -252,7 +253,7 @@ impl<M> ClusterSimulation<M> {
                     ));
                 }
                 let shuffle = ShuffleState::new(&dataset, &router, shuffler, seed, chunk_seed);
-                (router.partition_by_join_key(&dataset), Some(shuffle))
+                (router.partition_by_join_key_owned(dataset), Some(shuffle))
             }
         };
         let pipelines = build_pipelines(parts, per_shard_config, seed, cost_model, party_mode);
@@ -267,8 +268,8 @@ impl<M> ClusterSimulation<M> {
             )
         });
         let steps = StepLoop {
-            kind: dataset.kind,
-            steps: dataset.params.steps,
+            kind,
+            steps,
             config,
             shards,
             routing,

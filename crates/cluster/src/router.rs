@@ -9,7 +9,7 @@
 //! routed to the shard pipeline owning its key — which is what makes the per-shard
 //! Transform joins and view scans shrink roughly by a factor of `S`.
 
-use incshrink_storage::GrowingDatabase;
+use incshrink_storage::{GrowingDatabase, LogicalUpdate, Schema};
 use incshrink_workload::Dataset;
 
 /// The shard a join key belongs to, for a cluster of `shards` pipelines.
@@ -81,11 +81,8 @@ impl ShardRouter {
     /// record to an arbitrary shard (the old `unwrap_or(0)` behaviour) silently
     /// corrupts that shard's ground truth on schema drift, which is strictly worse
     /// than failing fast.
-    fn partition_relation_by(&self, db: &GrowingDatabase, column: usize) -> Vec<GrowingDatabase> {
-        let mut parts: Vec<GrowingDatabase> = (0..self.shards)
-            .map(|_| GrowingDatabase::new(db.schema.clone(), db.relation))
-            .collect();
-        for update in db.updates() {
+    fn partition_relation_by(&self, db: GrowingDatabase, column: usize) -> Vec<GrowingDatabase> {
+        let shard_of = |update: &LogicalUpdate| {
             let key = update.fields.get(column).copied().unwrap_or_else(|| {
                 panic!(
                     "record {} of relation '{}' is missing routing column {} \
@@ -96,32 +93,56 @@ impl ShardRouter {
                     update.fields.len()
                 )
             });
-            parts[self.shard_of(key)].insert(update.clone());
+            self.shard_of(key)
+        };
+        if self.shards == 1 {
+            db.updates().iter().for_each(|update| {
+                shard_of(update);
+            });
+            return vec![db];
+        }
+        let routes: Vec<usize> = db.updates().iter().map(shard_of).collect();
+        let mut parts: Vec<GrowingDatabase> = (0..self.shards)
+            .map(|_| GrowingDatabase::new(db.schema.clone(), db.relation))
+            .collect();
+        for (update, shard) in db.into_updates().into_iter().zip(routes) {
+            parts[shard].insert(update);
         }
         parts
     }
 
-    fn partition_dataset_by(
-        &self,
-        dataset: &Dataset,
-        left_column: usize,
-        right_column: usize,
-    ) -> Vec<Dataset> {
-        let lefts = self.partition_relation_by(&dataset.left, left_column);
-        let rights = self.partition_relation_by(&dataset.right, right_column);
+    /// Split an owned workload into `S` parts, each relation by the column
+    /// `column` picks from its schema. Records move into their part, in arrival
+    /// order, instead of being copied; a single shard gets the workload back.
+    fn split(&self, dataset: Dataset, column: fn(&Schema) -> usize) -> Vec<Dataset> {
+        let Dataset {
+            kind,
+            left,
+            right,
+            right_is_public,
+            upload_interval,
+            left_batch_size,
+            right_batch_size,
+            join_window,
+            params,
+        } = dataset;
+        let left_column = column(&left.schema);
+        let right_column = column(&right.schema);
+        let lefts = self.partition_relation_by(left, left_column);
+        let rights = self.partition_relation_by(right, right_column);
         lefts
             .into_iter()
             .zip(rights)
             .map(|(left, right)| Dataset {
-                kind: dataset.kind,
+                kind,
                 left,
                 right,
-                right_is_public: dataset.right_is_public,
-                upload_interval: dataset.upload_interval,
-                left_batch_size: self.shard_batch_size(dataset.left_batch_size),
-                right_batch_size: self.shard_batch_size(dataset.right_batch_size),
-                join_window: dataset.join_window,
-                params: dataset.params,
+                right_is_public,
+                upload_interval,
+                left_batch_size: self.shard_batch_size(left_batch_size),
+                right_batch_size: self.shard_batch_size(right_batch_size),
+                join_window,
+                params,
             })
             .collect()
     }
@@ -140,11 +161,14 @@ impl ShardRouter {
     /// lets a 1-shard cluster reproduce the single-pair simulation exactly.
     #[must_use]
     pub fn partition(&self, dataset: &Dataset) -> Vec<Dataset> {
-        self.partition_dataset_by(
-            dataset,
-            dataset.left.schema.partition_column,
-            dataset.right.schema.partition_column,
-        )
+        self.partition_owned(dataset.clone())
+    }
+
+    /// [`Self::partition`] of an owned workload: the records move into their
+    /// shard instead of being copied.
+    #[must_use]
+    pub(crate) fn partition_owned(&self, dataset: Dataset) -> Vec<Dataset> {
+        self.split(dataset, |schema| schema.partition_column)
     }
 
     /// Split a workload into `S` *ownership* shard workloads: both relations
@@ -154,11 +178,14 @@ impl ShardRouter {
     /// equi-join views).
     #[must_use]
     pub fn partition_by_join_key(&self, dataset: &Dataset) -> Vec<Dataset> {
-        self.partition_dataset_by(
-            dataset,
-            dataset.left.schema.key_column,
-            dataset.right.schema.key_column,
-        )
+        self.partition_by_join_key_owned(dataset.clone())
+    }
+
+    /// [`Self::partition_by_join_key`] of an owned workload: the records move
+    /// into their shard instead of being copied.
+    #[must_use]
+    pub(crate) fn partition_by_join_key_owned(&self, dataset: Dataset) -> Vec<Dataset> {
+        self.split(dataset, |schema| schema.key_column)
     }
 }
 

@@ -27,6 +27,7 @@ use incshrink_oblivious::oblivious_filter;
 use incshrink_oblivious::planner::{charge_full_relation_gap, plan_join, JoinAlgorithm};
 use incshrink_oblivious::{truncated_nested_loop_join, truncated_sort_merge_delta_join};
 use incshrink_secretshare::arrays::SharedArrayPair;
+use incshrink_secretshare::columns::SharedColumnsPair;
 use incshrink_secretshare::tuple::{PlainRecord, SharedRecordPair};
 use incshrink_storage::SecureCache;
 use rand::rngs::StdRng;
@@ -260,7 +261,12 @@ impl TwoLevelPipeline {
             self.selection_field,
             self.selection_bound,
         );
-        let filtered = oblivious_filter(new_left, &predicate, ctx.meter(), &mut self.rng);
+        let filtered = oblivious_filter(
+            &SharedColumnsPair::from_pair(new_left),
+            &predicate,
+            ctx.meter(),
+            &mut self.rng,
+        );
         self.counter1 += filtered.true_cardinality() as u32;
         self.cache1.write(filtered);
 
@@ -279,8 +285,8 @@ impl TwoLevelPipeline {
             self.counter1 = self
                 .counter1
                 .saturating_sub(released.true_cardinality() as u32);
-            self.intermediate.append(released.clone());
-            stage2_input = Some(released);
+            stage2_input = Some(released.to_pair());
+            self.intermediate.append(released);
             outcome.stage1_synced = true;
         }
 

@@ -42,7 +42,7 @@ use incshrink_oblivious::aggregate::{
     oblivious_count, oblivious_group_count_over_domain, oblivious_sum,
 };
 use incshrink_oblivious::filter::Predicate;
-use incshrink_secretshare::arrays::SharedArrayPair;
+use incshrink_secretshare::columns::SharedColumnsPair;
 use serde::{Deserialize, Serialize};
 
 /// One conjunct of a query's selection predicate, over view columns. Records lacking
@@ -308,9 +308,11 @@ impl PhysicalPlan<'_> {
         format!("scan[filter: {pred}] -> {agg}")
     }
 
-    /// Execute the fused scan over `entries`, pricing through `model`.
+    /// Execute the fused scan over the view lanes `entries`, pricing through `model`.
+    /// Each call is one `query.scan` span (one per shard view in a scatter-gather).
     #[must_use]
-    pub fn execute(&self, entries: &SharedArrayPair, model: &CostModel) -> QueryOutcome {
+    pub fn execute(&self, entries: &SharedColumnsPair, model: &CostModel) -> QueryOutcome {
+        let mut scan_span = incshrink_telemetry::span!("query.scan");
         let mut meter = CostMeter::new();
         let query = self.query;
         let predicate = Predicate::new("query-filter", move |fields| query.matches_filters(fields));
@@ -326,9 +328,12 @@ impl PhysicalPlan<'_> {
             ),
         };
         let report = meter.take();
+        let qet = model.simulate(&report);
+        scan_span.record_sim_secs(qet.as_secs_f64());
+        scan_span.record_cost(report.into());
         QueryOutcome {
             value,
-            qet: model.simulate(&report),
+            qet,
             report,
             shards: None,
         }

@@ -45,7 +45,7 @@ use incshrink_oblivious::planner::{
     charge_planned_join, plan_join, plan_join_calibrated, Calibration, JoinAlgorithm,
 };
 use incshrink_oblivious::{
-    push_padded, truncated_match_rows, truncated_nested_loop_join, KeyIndex, RowRef,
+    push_padded, truncated_match_rows, truncated_nested_loop_join_over, KeyIndex, RowRef,
 };
 use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::tuple::{PlainRecord, SharedRecordPair};
@@ -604,8 +604,10 @@ impl TransformProtocol {
             .unwrap_or_else(|| self.active_right.shares());
         let inner_left_records: &SharedArrayPair = self.active_left.shares();
 
-        // Truncation-loss bookkeeping (evaluation metric, not protocol state), over
-        // borrowed row views — no field clones on this path.
+        // Borrowed row views over the plaintext mirrors of the inner relations — no
+        // field clones — plus one key index per side, shared by the truncation-loss
+        // bookkeeping (evaluation metric, not protocol state) and the joins below,
+        // which therefore never recover the accumulated relations from their shares.
         let inner_right_rows: Vec<RowRef<'_>> = match &self.public_right {
             Some(public) => public_indices
                 .iter()
@@ -641,9 +643,11 @@ impl TransformProtocol {
 
         // ΔV part 1: new left records ⋈ accumulated right relation.
         let spec = self.view.join_spec();
-        let join_left = truncated_nested_loop_join(
+        let join_left = truncated_nested_loop_join_over(
             &delta_left.records,
             inner_right_records,
+            &inner_right_rows,
+            &right_index,
             &spec,
             omega,
             ctx.meter(),
@@ -661,9 +665,11 @@ impl TransformProtocol {
         // workloads only).
         let join_right = delta_right.map(|d| {
             let spec_rev = self.view.join_spec_reversed();
-            let joined = truncated_nested_loop_join(
+            let joined = truncated_nested_loop_join_over(
                 &d.records,
                 inner_left_records,
+                &inner_left_rows,
+                &left_index,
                 &spec_rev,
                 omega,
                 ctx.meter(),

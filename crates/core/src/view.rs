@@ -1,8 +1,9 @@
 //! View definitions and the materialized view object.
 
 use incshrink_oblivious::JoinSpec;
-use incshrink_secretshare::arrays::SharedArrayPair;
+use incshrink_secretshare::columns::SharedColumnsPair;
 use incshrink_secretshare::tuple::PlainRecord;
+use incshrink_secretshare::PartyId;
 use incshrink_workload::{Dataset, JoinQuery};
 use serde::{Deserialize, Serialize};
 
@@ -78,9 +79,15 @@ impl ViewDefinition {
 
 /// The growing materialized view `V = {V_t}`: a secret-shared array of view entries
 /// plus dummy tuples introduced by the DP-sized synchronizations.
+///
+/// The entries are stored as column lanes ([`SharedColumnsPair`]): one `u32` lane per
+/// view field and one `isView` lane per party. Synchronizations append the lanes the
+/// Shrink cache read cut; record-major batches (ΔV routed straight to the view,
+/// migrated entries) are transposed once on the way in. The analyst's oblivious scans
+/// read the lanes directly.
 #[derive(Debug, Clone, Default)]
 pub struct MaterializedView {
-    entries: SharedArrayPair,
+    entries: SharedColumnsPair,
     syncs: u64,
 }
 
@@ -115,7 +122,7 @@ impl MaterializedView {
     /// [`ViewDefinition::join_spec_reversed`]), which is what the typed query API's
     /// field indices address.
     #[must_use]
-    pub fn entries(&self) -> &SharedArrayPair {
+    pub fn entries(&self) -> &SharedColumnsPair {
         &self.entries
     }
 
@@ -132,7 +139,8 @@ impl MaterializedView {
     }
 
     /// Append a batch of synchronized entries (`V ← V ∪ o`).
-    pub fn append(&mut self, batch: SharedArrayPair) {
+    pub fn append(&mut self, batch: impl Into<SharedColumnsPair>) {
+        let batch = batch.into();
         if batch.is_empty() {
             return;
         }
@@ -154,15 +162,20 @@ impl MaterializedView {
     /// destination pair.
     pub fn migrate_out(&mut self, moved: &mut dyn FnMut(&[u32]) -> bool) -> Vec<PlainRecord> {
         let mut out = Vec::new();
-        self.entries.retain_with(|_, entry| {
-            let plain = entry.recover();
-            if plain.is_view && moved(&plain.fields) {
-                out.push(plain);
-                false
-            } else {
-                true
-            }
-        });
+        let keep: Vec<bool> = (0..self.entries.len())
+            .map(|i| {
+                let plain = self.entries.recover_row(i);
+                if plain.is_view && moved(&plain.fields) {
+                    out.push(plain);
+                    false
+                } else {
+                    true
+                }
+            })
+            .collect();
+        if !out.is_empty() {
+            self.entries.retain_rows(&keep);
+        }
         out
     }
 
@@ -170,7 +183,8 @@ impl MaterializedView {
     /// plus the dummy padding that hides the true migrated count). Unlike
     /// [`Self::append`] this does not bump the sync counter: migrations are
     /// ownership transfers, not Shrink synchronizations.
-    pub fn migrate_in(&mut self, batch: SharedArrayPair) {
+    pub fn migrate_in(&mut self, batch: impl Into<SharedColumnsPair>) {
+        let batch = batch.into();
         if batch.is_empty() {
             return;
         }
@@ -183,8 +197,7 @@ impl MaterializedView {
     /// "materialized view size" rows.
     #[must_use]
     pub fn size_bytes(&self) -> u64 {
-        let width = self.entries.arity().map_or(0, |a| (a + 1) * 4);
-        (self.len() * width) as u64
+        (self.len() * (self.entries.arity() + 1) * 4) as u64
     }
 
     /// Size in megabytes.
@@ -200,17 +213,53 @@ impl MaterializedView {
     /// hash collisions), which is how the parallel cluster runtime's equivalence
     /// tests compare whole shard views without shipping them across threads.
     /// The mix is a splitmix64-style avalanche over a running state, so entry
-    /// order, share assignment and dummy placement all matter.
+    /// order, share assignment and dummy placement all matter. Words are mixed in
+    /// row-major order — per entry, each field's `S0` then `S1` share, then the
+    /// `isView` shares — whatever the storage layout.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        fn mix(state: u64, word: u64) -> u64 {
-            let mut z = state ^ word.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+        let mut state = mix(FINGERPRINT_SEED, self.syncs);
+        let lanes0 = self.entries.lanes(PartyId::S0);
+        let lanes1 = self.entries.lanes(PartyId::S1);
+        let view0 = self.entries.is_view_lane(PartyId::S0);
+        let view1 = self.entries.is_view_lane(PartyId::S1);
+        for i in 0..self.len() {
+            for (l0, l1) in lanes0.iter().zip(lanes1) {
+                state = mix(state, u64::from(l0[i]));
+                state = mix(state, u64::from(l1[i]));
+            }
+            state = mix(state, u64::from(view0[i]));
+            state = mix(state, u64::from(view1[i]));
         }
-        let mut state = mix(0x1C5_811A_D0F1, self.syncs);
-        for entry in self.entries.entries() {
+        state
+    }
+}
+
+/// Initial state of [`MaterializedView::fingerprint`].
+const FINGERPRINT_SEED: u64 = 0x1C5_811A_D0F1;
+
+/// One splitmix64-style avalanche step of [`MaterializedView::fingerprint`].
+fn mix(state: u64, word: u64) -> u64 {
+    let mut z = state ^ word.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use incshrink_secretshare::arrays::SharedArrayPair;
+    use incshrink_workload::{DatasetKind, TpcDsGenerator, WorkloadParams};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The record-major digest the lane walk replaced, kept as its oracle: the same
+    /// mix over `entries` visited record by record.
+    fn reference_aos_fingerprint(entries: &SharedArrayPair, syncs: u64) -> u64 {
+        let mut state = mix(FINGERPRINT_SEED, syncs);
+        for entry in entries.entries() {
             for pair in &entry.fields {
                 state = mix(state, u64::from(pair.s0));
                 state = mix(state, u64::from(pair.s1));
@@ -220,14 +269,33 @@ impl MaterializedView {
         }
         state
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use incshrink_workload::{DatasetKind, TpcDsGenerator, WorkloadParams};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    proptest! {
+        #[test]
+        fn prop_lane_fingerprint_equals_aos_digest(
+            batches in proptest::collection::vec((0usize..12, 0usize..6), 0..8),
+            arity in 1usize..5,
+            seed: u64,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut view = MaterializedView::new();
+            let mut aos = SharedArrayPair::new();
+            for (real, dummy) in batches {
+                let mut records: Vec<PlainRecord> = (0..real)
+                    .map(|_| PlainRecord::real((0..arity).map(|_| rng.gen()).collect()))
+                    .collect();
+                records.extend((0..dummy).map(|_| PlainRecord::dummy(arity)));
+                let batch = SharedArrayPair::share_records(&records, &mut rng);
+                view.append(batch.clone());
+                aos.extend(batch).unwrap();
+            }
+            prop_assert_eq!(
+                view.fingerprint(),
+                reference_aos_fingerprint(&aos, view.sync_count())
+            );
+            prop_assert_eq!(view.entries().recover_all(), aos.recover_all());
+        }
+    }
 
     #[test]
     fn view_definition_from_dataset_and_query() {

@@ -16,30 +16,28 @@
 //! the simulated QET reflects bandwidth at large views.
 //!
 //! # Physical evaluation
-//! Each aggregate recovers the array once into column-major lanes
-//! ([`incshrink_secretshare::SharedColumnsPair`]) and combines them with branch-free
-//! word arithmetic — the predicate mask comes from [`Predicate::mask_lane`], the
+//! Each aggregate scans the column-major lanes the view stores
+//! ([`incshrink_secretshare::SharedColumnsPair`]) directly: it recovers them once and
+//! combines them with branch-free word arithmetic — the predicate mask comes from [`Predicate::mask_lane`], the
 //! accumulation is a masked add per lane slot. No per-record `PlainRecord`
 //! allocation happens anywhere on the scan.
 
 use crate::filter::Predicate;
 use incshrink_mpc::cost::CostMeter;
-use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::columns::{eq_word, SharedColumnsPair};
 use std::collections::BTreeMap;
 
 /// Bytes of share traffic a linear scan of `array` feeds into the circuit.
-fn scan_input_bytes(array: &SharedArrayPair) -> u64 {
-    (array.len() * (array.arity().unwrap_or(0) + 1) * 4) as u64
+fn scan_input_bytes(array: &SharedColumnsPair) -> u64 {
+    (array.len() * (array.arity() + 1) * 4) as u64
 }
 
-/// Recover all field lanes plus the `isView` lane of `array` in one pass.
-fn recovered_lanes(array: &SharedArrayPair) -> (Vec<Vec<u64>>, Vec<u64>) {
-    let columns = SharedColumnsPair::from_pair(array);
-    let lanes = (0..columns.arity())
-        .map(|f| columns.recovered_field_lane(f))
+/// Recover all field lanes plus the `isView` lane of `array`.
+fn recovered_lanes(array: &SharedColumnsPair) -> (Vec<Vec<u64>>, Vec<u64>) {
+    let lanes = (0..array.arity())
+        .map(|f| array.recovered_field_lane(f))
         .collect();
-    (lanes, columns.recovered_is_view_lane())
+    (lanes, array.recovered_is_view_lane())
 }
 
 /// Obliviously count the real (`isView = 1`) entries of `array` that satisfy
@@ -47,7 +45,7 @@ fn recovered_lanes(array: &SharedArrayPair) -> (Vec<Vec<u64>>, Vec<u64>) {
 /// Charges one secure comparison, one AND and one addition per entry, the scanned
 /// shares as input traffic and 8 bytes for the revealed count.
 pub fn oblivious_count(
-    array: &SharedArrayPair,
+    array: &SharedColumnsPair,
     predicate: &Predicate<'_>,
     meter: &mut CostMeter,
 ) -> u64 {
@@ -65,7 +63,7 @@ pub fn oblivious_count(
 /// Saturating 64-bit arithmetic (the paper's aggregates are counts; sums are provided
 /// for completeness of the operator set).
 pub fn oblivious_sum(
-    array: &SharedArrayPair,
+    array: &SharedColumnsPair,
     field: usize,
     predicate: &Predicate<'_>,
     meter: &mut CostMeter,
@@ -96,7 +94,7 @@ pub fn oblivious_sum(
 /// the analyst query API compiles GROUP-COUNT to
 /// [`oblivious_group_count_over_domain`], whose output width is a public constant.
 pub fn oblivious_group_count(
-    array: &SharedArrayPair,
+    array: &SharedColumnsPair,
     group_field: usize,
     meter: &mut CostMeter,
 ) -> BTreeMap<u32, u64> {
@@ -135,7 +133,7 @@ pub fn oblivious_group_count(
 /// folds into the per-slot mux) and one addition into the slot's counter; plus the
 /// scanned shares as input traffic and 8 bytes per revealed counter.
 pub fn oblivious_group_count_over_domain(
-    array: &SharedArrayPair,
+    array: &SharedColumnsPair,
     group_field: usize,
     domain: &[u32],
     predicate: &Predicate<'_>,
@@ -170,27 +168,29 @@ pub fn oblivious_group_count_over_domain(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use incshrink_secretshare::arrays::SharedArrayPair;
     use incshrink_secretshare::tuple::PlainRecord;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn array_with(rows: &[(u32, u32)], dummies: usize) -> SharedArrayPair {
+    fn array_with(rows: &[(u32, u32)], dummies: usize) -> SharedColumnsPair {
         let mut rng = StdRng::seed_from_u64(31);
         let mut records: Vec<PlainRecord> = rows
             .iter()
             .map(|&(a, b)| PlainRecord::real(vec![a, b]))
             .collect();
         records.extend((0..dummies).map(|_| PlainRecord::dummy(2)));
-        SharedArrayPair::share_records(&records, &mut rng)
+        SharedColumnsPair::from_pair(&SharedArrayPair::share_records(&records, &mut rng))
     }
 
     /// Record-major reference implementations (what the lane kernels replaced),
-    /// kept as extensional-equality oracles.
+    /// kept as extensional-equality oracles over the record-major form of the array.
     mod reference {
         use super::*;
 
-        pub fn count(array: &SharedArrayPair, predicate: &Predicate<'_>) -> u64 {
+        pub fn count(array: &SharedColumnsPair, predicate: &Predicate<'_>) -> u64 {
+            let array = array.to_pair();
             array
                 .entries()
                 .iter()
@@ -201,7 +201,8 @@ mod tests {
                 .count() as u64
         }
 
-        pub fn sum(array: &SharedArrayPair, field: usize, predicate: &Predicate<'_>) -> u64 {
+        pub fn sum(array: &SharedColumnsPair, field: usize, predicate: &Predicate<'_>) -> u64 {
+            let array = array.to_pair();
             array
                 .entries()
                 .iter()
@@ -216,7 +217,8 @@ mod tests {
                 .fold(0u64, u64::saturating_add)
         }
 
-        pub fn group_count(array: &SharedArrayPair, group_field: usize) -> BTreeMap<u32, u64> {
+        pub fn group_count(array: &SharedColumnsPair, group_field: usize) -> BTreeMap<u32, u64> {
+            let array = array.to_pair();
             let mut groups = BTreeMap::new();
             for entry in array.entries() {
                 let plain = entry.recover();
@@ -230,11 +232,12 @@ mod tests {
         }
 
         pub fn group_count_over_domain(
-            array: &SharedArrayPair,
+            array: &SharedColumnsPair,
             group_field: usize,
             domain: &[u32],
             predicate: &Predicate<'_>,
         ) -> Vec<u64> {
+            let array = array.to_pair();
             let mut counts = vec![0u64; domain.len()];
             for entry in array.entries() {
                 let plain = entry.recover();
@@ -338,7 +341,7 @@ mod tests {
     #[test]
     fn empty_array_aggregates() {
         let mut meter = CostMeter::new();
-        let arr = SharedArrayPair::new();
+        let arr = SharedColumnsPair::default();
         let all = Predicate::all("all");
         assert_eq!(oblivious_count(&arr, &all, &mut meter), 0);
         assert_eq!(oblivious_sum(&arr, 0, &all, &mut meter), 0);

@@ -5,22 +5,24 @@
 //! dummies, the cache is first obliviously sorted on the `isView` bit, then the first
 //! `sz` slots are cut off; the remainder stays in the cache.
 //!
-//! The sort is [`oblivious_sort_by_is_view`]: the Batcher network swept level by
-//! level over a bitset of the entries' `isView` bits, 64 slots per word, swapping
-//! only the records whose comparator fires. The simulated MPC is charged for every
+//! The cache is column-major ([`SharedColumnsPair`]) and the read runs over a window
+//! of its live rows ([`ColumnsMut`]), so the caller can consume the cache from the
+//! front by advancing an offset instead of moving the remainder on every cut. The
+//! sort is [`oblivious_sort_by_is_view`]: the Batcher network swept level by level
+//! over a bitset of the window's `isView` lanes, 64 slots per word, swapping only the
+//! records whose comparator fires. The simulated MPC is charged for every
 //! comparator, but the host cost of a read grows with `levels · n/64` plus the
 //! number of records that actually move — small on the sparse, exhaustively padded
 //! caches Shrink reads — not with the comparator count or the record width.
 
 use crate::sort::oblivious_sort_by_is_view;
 use incshrink_mpc::cost::CostMeter;
-use incshrink_secretshare::arrays::SharedArrayPair;
+use incshrink_secretshare::columns::{ColumnsMut, SharedColumnsPair};
 
-/// The secure cache read of Figure 3: obliviously sort the cache by `isView`, cut off
-/// the first `read_size` entries and return them; the remaining entries stay in
-/// `cache`. `read_size` larger than the cache simply drains it.
-///
-/// Returns the fetched entries. The servers observe only `read_size` (which the
+/// The secure cache read of Figure 3: obliviously sort the live cache rows `live` by
+/// `isView` in place and return a copy of the first `read_size` of them (all of them
+/// when `read_size` exceeds the window). The caller cuts the returned rows off the
+/// cache. The servers observe only `read_size` (which the
 /// calling Shrink protocol derives from a DP mechanism) — never the true cardinality.
 ///
 /// Cost: one Batcher sort of the whole cache on the `isView` key —
@@ -31,26 +33,27 @@ use incshrink_secretshare::arrays::SharedArrayPair;
 /// `ω·(|T1|+|T2|)`) matters: the cache, and with it every synchronization, would
 /// otherwise grow with the accumulated relation.
 pub fn cache_read(
-    cache: &mut SharedArrayPair,
+    mut live: ColumnsMut<'_>,
     read_size: usize,
     meter: &mut CostMeter,
-) -> SharedArrayPair {
-    oblivious_sort_by_is_view(cache, meter);
-    let width = cache.arity().unwrap_or(0) as u64 + 1;
-    meter.bytes(read_size.min(cache.len()) as u64 * width * 4);
+) -> SharedColumnsPair {
+    oblivious_sort_by_is_view(&mut live, meter);
+    let width = live.arity() as u64 + 1;
+    meter.bytes(read_size.min(live.len()) as u64 * width * 4);
     meter.round();
-    cache.split_front(read_size)
+    live.front(read_size)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use incshrink_secretshare::arrays::SharedArrayPair;
     use incshrink_secretshare::tuple::PlainRecord;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn mixed_cache(real: usize, dummy: usize) -> SharedArrayPair {
+    fn mixed_cache(real: usize, dummy: usize) -> SharedColumnsPair {
         let mut rng = StdRng::seed_from_u64(21);
         let mut records = Vec::new();
         // Interleave real and dummy entries.
@@ -66,7 +69,18 @@ mod tests {
                 d += 1;
             }
         }
-        SharedArrayPair::share_records(&records, &mut rng)
+        SharedColumnsPair::from_pair(&SharedArrayPair::share_records(&records, &mut rng))
+    }
+
+    /// Read `read_size` rows and cut them off the cache, as the Shrink cache does.
+    fn read_and_cut(
+        cache: &mut SharedColumnsPair,
+        read_size: usize,
+        meter: &mut CostMeter,
+    ) -> SharedColumnsPair {
+        let fetched = cache_read(cache.rows_mut(0), read_size, meter);
+        cache.drain_front(fetched.len());
+        fetched
     }
 
     #[test]
@@ -75,7 +89,7 @@ mod tests {
         // only dummies behind: the sort moved all reals ahead of all dummies.
         let mut meter = CostMeter::new();
         let mut cache = mixed_cache(4, 6);
-        let fetched = cache_read(&mut cache, 4, &mut meter);
+        let fetched = read_and_cut(&mut cache, 4, &mut meter);
         assert!(fetched.recover_all().iter().all(|r| r.is_view));
         assert!(cache.recover_all().iter().all(|r| !r.is_view));
         assert_eq!(cache.len(), 6);
@@ -88,7 +102,7 @@ mod tests {
         let mut cache = mixed_cache(5, 10);
         // Read fewer entries than there are real tuples: everything fetched is real,
         // the rest stays deferred in the cache.
-        let fetched = cache_read(&mut cache, 3, &mut meter);
+        let fetched = read_and_cut(&mut cache, 3, &mut meter);
         assert_eq!(fetched.len(), 3);
         assert_eq!(fetched.true_cardinality(), 3);
         assert_eq!(cache.true_cardinality(), 2);
@@ -99,7 +113,7 @@ mod tests {
     fn cache_read_larger_than_true_cardinality_includes_dummies() {
         let mut meter = CostMeter::new();
         let mut cache = mixed_cache(2, 8);
-        let fetched = cache_read(&mut cache, 6, &mut meter);
+        let fetched = read_and_cut(&mut cache, 6, &mut meter);
         assert_eq!(fetched.len(), 6);
         assert_eq!(fetched.true_cardinality(), 2);
         assert_eq!(cache.true_cardinality(), 0);
@@ -110,7 +124,7 @@ mod tests {
     fn cache_read_larger_than_cache_drains_it() {
         let mut meter = CostMeter::new();
         let mut cache = mixed_cache(3, 3);
-        let fetched = cache_read(&mut cache, 100, &mut meter);
+        let fetched = read_and_cut(&mut cache, 100, &mut meter);
         assert_eq!(fetched.len(), 6);
         assert!(cache.is_empty());
     }
@@ -119,7 +133,7 @@ mod tests {
     fn cache_read_zero_returns_nothing() {
         let mut meter = CostMeter::new();
         let mut cache = mixed_cache(3, 3);
-        let fetched = cache_read(&mut cache, 0, &mut meter);
+        let fetched = read_and_cut(&mut cache, 0, &mut meter);
         assert!(fetched.is_empty());
         assert_eq!(cache.len(), 6);
     }
@@ -130,7 +144,7 @@ mod tests {
             real in 0usize..20, dummy in 0usize..20, read in 0usize..50) {
             let mut meter = CostMeter::new();
             let mut cache = mixed_cache(real, dummy);
-            let fetched = cache_read(&mut cache, read, &mut meter);
+            let fetched = read_and_cut(&mut cache, read, &mut meter);
             // Every fetched dummy implies no real tuple was left behind.
             let fetched_real = fetched.true_cardinality();
             let left_real = cache.true_cardinality();

@@ -7,20 +7,19 @@
 //! input length.
 //!
 //! # Physical evaluation
-//! The operator recovers the input once into column-major lanes
-//! ([`incshrink_secretshare::SharedColumnsPair`]) and, for the structurally known
+//! The operator takes and returns column-major lanes
+//! ([`incshrink_secretshare::SharedColumnsPair`]), recovers the input lanes once and,
+//! for the structurally known
 //! predicate shapes ([`PredicateKind::All`] / [`PredicateKind::Le`] /
 //! [`PredicateKind::Eq`]), evaluates the keep mask as branch-free word arithmetic
 //! over whole lanes — no per-record allocation, no data-dependent branches.
 //! Arbitrary closures ([`PredicateKind::Opaque`]) fall back to a per-record
-//! evaluation over a reused scratch buffer. Either way the re-shared output draws
-//! its masks in exactly the order the record-major implementation did, so
-//! trajectories are bit-identical.
+//! evaluation over a reused scratch buffer. Either way the output is re-shared row
+//! by row straight into its lanes, drawing masks in exactly the order the
+//! record-major implementation did, so trajectories are bit-identical.
 
 use incshrink_mpc::cost::CostMeter;
-use incshrink_secretshare::arrays::SharedArrayPair;
 use incshrink_secretshare::columns::{eq_word, lt_word, SharedColumnsPair};
-use incshrink_secretshare::tuple::SharedRecordPair;
 use rand::Rng;
 
 /// Boxed predicate function over a record's plaintext field values.
@@ -171,36 +170,27 @@ impl<'a> Predicate<'a> {
 /// array. Leakage: none beyond the public length — selectivity stays hidden because
 /// every record is emitted and only the hidden flag changes.
 pub fn oblivious_filter<R: Rng + ?Sized>(
-    input: &SharedArrayPair,
+    input: &SharedColumnsPair,
     predicate: &Predicate<'_>,
     meter: &mut CostMeter,
     rng: &mut R,
-) -> SharedArrayPair {
-    let mut out = match input.arity() {
-        Some(a) => SharedArrayPair::with_arity(a),
-        None => SharedArrayPair::new(),
-    };
+) -> SharedColumnsPair {
+    let arity = input.arity();
     meter.compares(input.len() as u64);
     meter.ands(input.len() as u64);
-    meter.bytes((input.len() * (input.arity().unwrap_or(0) + 1) * 4) as u64);
+    meter.bytes((input.len() * (arity + 1) * 4) as u64);
     meter.round();
 
-    let columns = SharedColumnsPair::from_pair(input);
-    let lanes: Vec<Vec<u64>> = (0..columns.arity())
-        .map(|f| columns.recovered_field_lane(f))
-        .collect();
-    let view = columns.recovered_is_view_lane();
-    let keep = predicate.mask_lane(&lanes, &view);
+    let lanes: Vec<Vec<u64>> = (0..arity).map(|f| input.recovered_field_lane(f)).collect();
+    let keep = predicate.mask_lane(&lanes, &input.recovered_is_view_lane());
 
-    // Re-share record-major so the mask words come off the rng in exactly the order
-    // `SharedRecordPair::share` would draw them.
-    let mut fields = vec![0u32; lanes.len()];
-    for i in 0..input.len() {
+    let mut out = SharedColumnsPair::with_arity(arity);
+    let mut fields = vec![0u32; arity];
+    for (i, &kept) in keep.iter().enumerate() {
         for (slot, lane) in fields.iter_mut().zip(&lanes) {
             *slot = lane[i] as u32;
         }
-        out.push(SharedRecordPair::share_row(&fields, keep[i] != 0, rng))
-            .expect("uniform arity");
+        out.push_share_row(&fields, kept != 0, rng);
     }
     out
 }
@@ -208,7 +198,8 @@ pub fn oblivious_filter<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incshrink_secretshare::tuple::PlainRecord;
+    use incshrink_secretshare::arrays::SharedArrayPair;
+    use incshrink_secretshare::tuple::{PlainRecord, SharedRecordPair};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -242,7 +233,7 @@ mod tests {
         out
     }
 
-    fn input_array() -> SharedArrayPair {
+    fn input_array() -> SharedColumnsPair {
         let mut rng = StdRng::seed_from_u64(5);
         let records = vec![
             PlainRecord::real(vec![3, 30]),
@@ -250,7 +241,7 @@ mod tests {
             PlainRecord::dummy(2),
             PlainRecord::real(vec![7, 70]),
         ];
-        SharedArrayPair::share_records(&records, &mut rng)
+        SharedColumnsPair::from_pair(&SharedArrayPair::share_records(&records, &mut rng))
     }
 
     #[test]
@@ -332,7 +323,7 @@ mod tests {
     fn filter_on_empty_input() {
         let mut rng = StdRng::seed_from_u64(4);
         let mut meter = CostMeter::new();
-        let input = SharedArrayPair::new();
+        let input = SharedColumnsPair::default();
         let pred = Predicate::new("always", |_| true);
         let out = oblivious_filter(&input, &pred, &mut meter, &mut rng);
         assert!(out.is_empty());
@@ -370,12 +361,17 @@ mod tests {
             let mut rng_aos = StdRng::seed_from_u64(seed ^ 0xF1F7E5);
             let mut meter_soa = CostMeter::new();
             let mut meter_aos = CostMeter::new();
-            let soa = oblivious_filter(&input, &predicate, &mut meter_soa, &mut rng_soa);
+            let soa = oblivious_filter(
+                &SharedColumnsPair::from_pair(&input),
+                &predicate,
+                &mut meter_soa,
+                &mut rng_soa,
+            );
             let aos = reference_aos_filter(&input, &predicate, &mut meter_aos, &mut rng_aos);
 
             // Same share words (hence same plaintext), same meter, and the same
             // number of rng draws (the next draw from each stream must agree).
-            prop_assert_eq!(soa, aos);
+            prop_assert_eq!(soa, SharedColumnsPair::from_pair(&aos));
             prop_assert_eq!(meter_soa.report(), meter_aos.report());
             prop_assert_eq!(rng_soa.gen::<u64>(), rng_aos.gen::<u64>());
         }

@@ -515,6 +515,35 @@ pub fn truncated_nested_loop_join<R: Rng + ?Sized>(
     meter: &mut CostMeter,
     rng: &mut R,
 ) -> SharedArrayPair {
+    let inner_plain: Vec<PlainRecord> = inner.entries().iter().map(|e| e.recover()).collect();
+    let inner_rows: Vec<RowRef<'_>> = inner_plain.iter().map(RowRef::from).collect();
+    let index = KeyIndex::build(&inner_rows, spec.right_key);
+    truncated_nested_loop_join_over(outer, inner, &inner_rows, &index, spec, bound, meter, rng)
+}
+
+/// [`truncated_nested_loop_join`] for a caller that already holds the inner
+/// relation's plaintext mirror: `inner_rows[i]` is the record `inner` shares at
+/// position `i`, and `index` is the [`KeyIndex`] of `inner_rows` by
+/// `spec.right_key`. Transform passes its delta share cache's mirrors and the
+/// index it already builds for its pair count, so no step recovers the
+/// accumulated relation from its shares. Output, rng draws and cost are exactly
+/// those of [`truncated_nested_loop_join`].
+#[allow(clippy::too_many_arguments)]
+pub fn truncated_nested_loop_join_over<R: Rng + ?Sized>(
+    outer: &SharedArrayPair,
+    inner: &SharedArrayPair,
+    inner_rows: &[RowRef<'_>],
+    index: &KeyIndex,
+    spec: &JoinSpec<'_>,
+    bound: usize,
+    meter: &mut CostMeter,
+    rng: &mut R,
+) -> SharedArrayPair {
+    debug_assert_eq!(
+        inner_rows.len(),
+        inner.len(),
+        "mirror covers the inner shares"
+    );
     let out_arity = join_output_arity(outer, inner);
     let mut out = SharedArrayPair::with_arity(out_arity);
     if bound == 0 {
@@ -522,15 +551,15 @@ pub fn truncated_nested_loop_join<R: Rng + ?Sized>(
     }
     let mut join_span = incshrink_telemetry::span!("join.nested_loop");
     let outer_plain: Vec<PlainRecord> = outer.entries().iter().map(|e| e.recover()).collect();
-    let inner_plain: Vec<PlainRecord> = inner.entries().iter().map(|e| e.recover()).collect();
+    let outer_rows: Vec<RowRef<'_>> = outer_plain.iter().map(RowRef::from).collect();
 
     // Cost accounting: |outer|·|inner| secure comparisons and budget checks, plus an
     // oblivious sort of each per-outer buffer of |inner| slots, plus the output write.
-    let cost = nested_loop_join_cost(outer_plain.len(), inner_plain.len(), bound, out_arity);
+    let cost = nested_loop_join_cost(outer.len(), inner.len(), bound, out_arity);
     join_span.record_cost(cost.into());
     meter.record(cost);
 
-    for produced in truncated_match(&outer_plain, &inner_plain, spec, bound) {
+    for produced in truncated_match_rows(&outer_rows, inner_rows, index, spec, bound) {
         push_padded(&mut out, produced, bound, out_arity, rng);
     }
     out

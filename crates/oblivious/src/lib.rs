@@ -41,8 +41,8 @@ pub use compact::cache_read;
 pub use filter::{oblivious_filter, Predicate, PredicateKind};
 pub use join::{
     delta_sort_merge_join_cost, nested_loop_join_cost, push_padded, truncated_match,
-    truncated_match_rows, truncated_nested_loop_join, truncated_sort_merge_delta_join,
-    truncated_sort_merge_join, JoinSpec, KeyIndex, RowRef,
+    truncated_match_rows, truncated_nested_loop_join, truncated_nested_loop_join_over,
+    truncated_sort_merge_delta_join, truncated_sort_merge_join, JoinSpec, KeyIndex, RowRef,
 };
 pub use planner::{
     charge_full_relation_gap, charge_planned_join, plan_and_execute, plan_join,

@@ -28,9 +28,10 @@
 //!   final arrangement — and the metered cost, charged up front from the input
 //!   length — is bit-identical to swapping whole records at every comparator.
 //! * The `isView` sort of the Shrink cache read has a one-bit key and no
-//!   tie-breaker, so [`oblivious_sort_by_is_view`] is **bit-sliced**: it reads the
-//!   `isView` shares once into a dummy bitset and sweeps each network level as
-//!   64-bit words of it, swapping only the records whose comparator fires. Its host
+//!   tie-breaker, so [`oblivious_sort_by_is_view`] is **bit-sliced**: it runs over
+//!   the column lanes of the cache, reads the two `isView` lanes once into a dummy
+//!   bitset and sweeps each network level as 64-bit words of it, swapping only the
+//!   records whose comparator fires, one word per lane. Its host
 //!   cost grows with `levels · n/64 + swaps`; the charged cost is still every
 //!   comparator of the network.
 //! * For merging two *already sorted* runs (the delta sort-merge join's cache ‖
@@ -40,7 +41,7 @@
 
 use incshrink_mpc::cost::CostMeter;
 use incshrink_secretshare::arrays::SharedArrayPair;
-use incshrink_secretshare::columns::{eq_word, lt_word};
+use incshrink_secretshare::columns::{eq_word, lt_word, ColumnsMut};
 use incshrink_secretshare::tuple::PlainRecord;
 use serde::{Deserialize, Serialize};
 
@@ -433,32 +434,33 @@ pub fn oblivious_sort_by_field(
 ///
 /// The key is a single bit with no tie-breaker, so a comparator `(i, i + k)` swaps
 /// exactly when slot `i` holds a dummy and slot `i + k` a real entry. The kernel
-/// reads each entry's `isView` shares once into a dummy bitset `D`, then sweeps the
+/// reads the window's two `isView` lanes once into a dummy bitset `D`, then sweeps the
 /// network level by level (`for_each_batcher_level`) as 64-bit words: the swap
 /// mask of word `w` is `L_w & D_w & !(D >> k)_w`, with `L_w` the level's low-end
-/// mask. Only the set bits of a swap mask touch records (one `swap` of two entries
-/// each), and `D` is updated in place — every slot meets at most one comparator per
+/// mask. Only the set bits of a swap mask touch records (one word per lane each), and
+/// `D` is updated in place — every slot meets at most one comparator per
 /// level, so the level's comparators commute. The arrangement equals swapping whole
 /// records at every comparator of the network, and the charge is taken up front from
 /// the length: the simulated MPC still pays for every comparator, while the host
 /// pays `O(levels · n/64 + swaps)`.
-pub fn oblivious_sort_by_is_view(array: &mut SharedArrayPair, meter: &mut CostMeter) {
-    let n = array.len();
+pub fn oblivious_sort_by_is_view(rows: &mut ColumnsMut<'_>, meter: &mut CostMeter) {
+    let n = rows.len();
     if n < 2 {
         return;
     }
-    let width = array.arity().unwrap_or(1) as u64 + 1;
-    charge_sort_network(n, width, meter);
+    charge_sort_network(n, rows.arity() as u64 + 1, meter);
 
     // Bit i of `dummy` is set iff slot i holds a dummy; the spare zero word keeps the
     // shifted reads and writes of the last word in bounds.
     let mut dummy = vec![0u64; n.div_ceil(64) + 1];
-    for (word, chunk) in dummy.iter_mut().zip(array.entries().chunks(64)) {
-        *word = chunk.iter().enumerate().fold(0, |bits, (j, entry)| {
-            bits | u64::from(entry.is_view.recover() == 0) << j
-        });
+    let (view0, view1) = rows.is_view_lanes();
+    for ((word, s0), s1) in dummy.iter_mut().zip(view0.chunks(64)).zip(view1.chunks(64)) {
+        *word = s0
+            .iter()
+            .zip(s1)
+            .enumerate()
+            .fold(0, |bits, (j, (a, b))| bits | u64::from(a ^ b == 0) << j);
     }
-    let entries = array.entries_mut();
     for_each_batcher_level(n, |level| {
         let k = level.k();
         let (q, r) = (k / 64, k % 64);
@@ -476,7 +478,7 @@ pub fn oblivious_sort_by_is_view(array: &mut SharedArrayPair, meter: &mut CostMe
             let mut bits = swap;
             while bits != 0 {
                 let i = 64 * w + bits.trailing_zeros() as usize;
-                entries.swap(i, i + k);
+                rows.swap(i, i + k);
                 bits &= bits - 1;
             }
         });
@@ -603,6 +605,7 @@ pub(crate) fn for_each_batcher_level(n: usize, mut level: impl FnMut(LevelMask))
 #[cfg(test)]
 mod tests {
     use super::*;
+    use incshrink_secretshare::columns::SharedColumnsPair;
     use incshrink_secretshare::tuple::PlainRecord;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -854,6 +857,16 @@ mod tests {
         }
     }
 
+    /// Run the columnar `isView` kernel over a record-major array: transpose, sort
+    /// every row, transpose back.
+    fn sort_by_is_view_through_columns(array: &mut SharedArrayPair, meter: &mut CostMeter) {
+        let mut columns = SharedColumnsPair::from_pair(array);
+        oblivious_sort_by_is_view(&mut columns.rows_mut(0), meter);
+        if !array.is_empty() {
+            *array = columns.to_pair();
+        }
+    }
+
     /// `len` records carrying their position as a field (so equal arrays mean equal
     /// permutations), real where `is_real(i)` holds.
     fn indexed_records(len: usize, is_real: impl Fn(usize) -> bool) -> SharedArrayPair {
@@ -873,7 +886,7 @@ mod tests {
     fn assert_is_view_sort_matches_reference(array: &SharedArrayPair) {
         let (mut packed, mut reference) = (array.clone(), array.clone());
         let (mut m_packed, mut m_reference) = (CostMeter::new(), CostMeter::new());
-        oblivious_sort_by_is_view(&mut packed, &mut m_packed);
+        sort_by_is_view_through_columns(&mut packed, &mut m_packed);
         reference_lane_sort(
             &mut reference,
             SortOrder::Ascending,
@@ -938,7 +951,7 @@ mod tests {
     fn assert_bit_sliced_matches_packed(array: &SharedArrayPair) {
         let (mut sliced, mut packed) = (array.clone(), array.clone());
         let (mut m_sliced, mut m_packed) = (CostMeter::new(), CostMeter::new());
-        oblivious_sort_by_is_view(&mut sliced, &mut m_sliced);
+        sort_by_is_view_through_columns(&mut sliced, &mut m_sliced);
         reference_packed_is_view_sort(&mut packed, &mut m_packed);
         assert_eq!(sliced, packed, "n={}", array.len());
         assert_eq!(m_sliced.report(), m_packed.report(), "n={}", array.len());
@@ -1169,7 +1182,7 @@ mod tests {
         }
         let mut arr = SharedArrayPair::share_records(&records, &mut rng);
         let mut meter = CostMeter::new();
-        oblivious_sort_by_is_view(&mut arr, &mut meter);
+        sort_by_is_view_through_columns(&mut arr, &mut meter);
         let plain = arr.recover_all();
         assert!(plain[..5].iter().all(|r| r.is_view));
         assert!(plain[5..].iter().all(|r| !r.is_view));

@@ -3,6 +3,7 @@
 use incshrink_mpc::cost::CostMeter;
 use incshrink_oblivious::{cache_read, oblivious_sort_by_field, SortOrder};
 use incshrink_secretshare::arrays::SharedArrayPair;
+use incshrink_secretshare::columns::SharedColumnsPair;
 use incshrink_secretshare::tuple::PlainRecord;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,7 +29,8 @@ fn sort_and_cache_read_through_public_api() {
     assert_eq!(sorted, vec![1, 3, 5, 7, 9]);
 
     // Cache read fetches real tuples before dummies.
-    let fetched = cache_read(&mut arr, 3, &mut meter);
+    let mut cache = SharedColumnsPair::from_pair(&arr);
+    let fetched = cache_read(cache.rows_mut(0), 3, &mut meter);
     assert_eq!(fetched.len(), 3);
     assert_eq!(fetched.true_cardinality(), 3, "reals come first");
 }

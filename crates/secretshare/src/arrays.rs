@@ -1,9 +1,11 @@
 //! Secret-shared arrays (secure memory blocks).
 //!
-//! The secure outsourced cache `σ[1, 2, 3, ...]` and the materialized view `V` are
-//! secret-shared memory blocks split across the two servers (Section 2.2). This module
-//! provides both the per-party view ([`SharedArray`]) and the two-sided container
-//! ([`SharedArrayPair`]) that protocol simulations operate on.
+//! Secret-shared memory blocks split across the two servers (Section 2.2), stored
+//! record-major: the per-party view ([`SharedArray`]) and the two-sided container
+//! ([`SharedArrayPair`]) that batches are built in record by record — Transform's
+//! ΔV, upload batches, the outsourced store. The secure cache `σ` and the
+//! materialized view `V` store the column-major [`crate::SharedColumnsPair`]
+//! instead.
 
 use crate::tuple::{PlainRecord, SharedRecord, SharedRecordPair};
 use crate::value::PartyId;
@@ -152,8 +154,8 @@ impl SharedArrayPair {
         &mut self.entries
     }
 
-    /// Split off the first `n` entries (cache read / cut-off step of Shrink). If `n`
-    /// exceeds the length, the whole array is taken.
+    /// Split off the first `n` entries. If `n` exceeds the length, the whole array
+    /// is taken.
     pub fn split_front(&mut self, n: usize) -> SharedArrayPair {
         let n = n.min(self.entries.len());
         let rest = self.entries.split_off(n);
@@ -164,7 +166,7 @@ impl SharedArrayPair {
         }
     }
 
-    /// Drop every entry (cache recycle step of the flush mechanism).
+    /// Drop every entry.
     pub fn clear(&mut self) {
         self.entries.clear();
     }
